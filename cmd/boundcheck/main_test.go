@@ -301,7 +301,9 @@ func TestGoldenJSON(t *testing.T) {
 		t.Skip("runs the quick scan sweep")
 	}
 	var out, errOut bytes.Buffer
-	code := run([]string{"-quick", "-json", "-run", "table1/scan"}, &out, &errOut, mainProvider)
+	// -shards 1: the document records the shard count, which otherwise
+	// defaults to GOMAXPROCS; rows do not depend on it.
+	code := run([]string{"-quick", "-json", "-shards", "1", "-run", "table1/scan"}, &out, &errOut, mainProvider)
 	if code != 0 {
 		t.Fatalf("exit = %d (stderr: %s)", code, errOut.String())
 	}

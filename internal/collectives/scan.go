@@ -38,11 +38,22 @@ func Scan(m *machine.Machine, r grid.Rect, reg machine.Reg, op Op, identity mach
 // (e.g. the cell at Z-index 1 of its 2x2 block is also Z-index 5 of its
 // 32x32 block). A PE holds at most two node roles for any feasible grid (a
 // third would need side >= 2^1029), so the working set stays O(1).
-func sumReg(k int) machine.Reg  { return fmt.Sprintf("scan.sum%d", k) }
-func downReg(k int) machine.Reg { return fmt.Sprintf("scan.down%d", k) }
-func childReg(k, i int) machine.Reg {
-	return fmt.Sprintf("scan.s%d.%d", k, i)
-}
+func sumReg(k int) machine.Reg      { return scanRegs[k][0] }
+func downReg(k int) machine.Reg     { return scanRegs[k][1] }
+func childReg(k, i int) machine.Reg { return scanRegs[k][2+i] }
+
+// scanRegs holds the register names of each tree height, built once:
+// formatting them at every tree node took half the CPU time of a large scan.
+// 62 is the largest height, since an int side is at most 2^62.
+var scanRegs = func() (t [63][6]machine.Reg) {
+	for k := range t {
+		t[k] = [6]machine.Reg{fmt.Sprintf("scan.sum%d", k), fmt.Sprintf("scan.down%d", k)}
+		for i := 0; i < 4; i++ {
+			t[k][2+i] = fmt.Sprintf("scan.s%d.%d", k, i)
+		}
+	}
+	return t
+}()
 
 // scanHolder returns the PE holding the root of the height-k summation
 // subtree of subgrid sub: the k-th PE of sub in Z-order.

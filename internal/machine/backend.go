@@ -231,12 +231,16 @@ func (b Backend) Dist(a, c Coord) int64 {
 	if b.Kind == BackendIdeal {
 		return Dist(a, c)
 	}
-	block := b.Block
-	if block < 1 {
-		block = 1
+	return b.homeDist(b.Fold(a), b.Fold(c))
+}
+
+// homeDist is the cost of one message between two homes as Fold returns
+// them: Manhattan under Ideal and on a mesh, wraparound on a torus.
+func (b Backend) homeDist(p, q Coord) int64 {
+	if b.Kind != BackendTorus {
+		return Dist(p, q)
 	}
-	return b.axisDist(foldAxis(a.Row, b.H, block), foldAxis(c.Row, b.H, block), b.H) +
-		b.axisDist(foldAxis(a.Col, b.W, block), foldAxis(c.Col, b.W, block), b.W)
+	return b.axisDist(p.Row, q.Row, b.H) + b.axisDist(p.Col, q.Col, b.W)
 }
 
 // physIndex is the dense row-major index of c's physical home on the

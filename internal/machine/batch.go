@@ -1,5 +1,7 @@
 package machine
 
+import "fmt"
+
 // Batched rounds.
 //
 // A Batch is the machine's hot-path send API: algorithms record the messages
@@ -200,70 +202,84 @@ func (m *Machine) deliverRound(msgs []bmsg) {
 	}
 }
 
-// PEHandle is a resolved reference to one PE, for hot loops that issue many
-// counting-only messages between a fixed set of PEs (e.g. a sorting network
-// running level after level over the same wires). Resolving the handle once
-// with Machine.Handle hoists the per-message tile lookup out of the loop.
-// Handles stay bound to their machine; using one after Reset observes the
-// reset (blank) PE state, so re-resolve per measurement.
-type PEHandle struct {
-	c Coord
-	p *pe
+// Wires is a counting kernel bound to the wires of a sorting network: a
+// fixed list of distinct PEs exchanging counting-only messages level after
+// level. Their clocks are copied into one dense slice in wire order, so an
+// exchange reads two clocks that sit side by side for neighbouring wires
+// instead of chasing two PE structs scattered over tiles, and under a finite
+// backend each wire's physical home is folded once, not per message. Until
+// Close the copies and the kernel's counters are authoritative, so no other
+// machine operation may run in between. Like Batch.Count, exchanges emit no
+// trace event and deliver no register (see CountingOnly).
+type Wires struct {
+	m     *Machine
+	bk    Backend
+	cong  *congestion
+	pes   []*pe
+	clk   []clock
+	homes []Coord // physical homes; the bound coordinates themselves under Ideal
+	acc   chargeAccum
 }
 
-// Coord returns the grid coordinate the handle resolves.
-func (h PEHandle) Coord() Coord { return h.c }
-
-// Handle resolves the PE at c, allocating and touching it exactly like any
-// send endpoint would.
-func (m *Machine) Handle(c Coord) PEHandle {
-	return PEHandle{c: c, p: m.peAt(c)}
+// BindWires binds a counting kernel to the PEs at cs: wire i is cs[i]. Every
+// PE is resolved (and touched) and journaled in any active Independent
+// branch, exactly as a message endpoint would be. The wires must be distinct
+// PEs; a repeated coordinate is a caller bug and panics. Under Ideal the
+// kernel keeps cs as the wire homes, so cs must not change before Close.
+func (m *Machine) BindWires(cs []Coord) *Wires {
+	w := &Wires{m: m, bk: m.bk, cong: m.cong, pes: make([]*pe, len(cs)), clk: make([]clock, len(cs)), homes: cs}
+	if m.bk.Finite() {
+		w.homes = make([]Coord, len(cs))
+	}
+	// A fresh Par round stamp marks the PEs bound so far; Par itself never
+	// reuses a stamp, so this leaves its clock snapshots valid.
+	m.parRound++
+	stamp := m.parRound
+	for i, c := range cs {
+		p := m.peAt(c)
+		if p.snapSeen == stamp {
+			panic(fmt.Sprintf("machine: BindWires: %v is bound to two wires", c))
+		}
+		p.snapSeen = stamp
+		m.noteTouch(c, p)
+		w.pes[i], w.clk[i] = p, p.clk
+		if m.bk.Finite() {
+			w.homes[i] = m.bk.Fold(c)
+		}
+	}
+	return w
 }
 
-// CountPair charges one compare-exchange between two distinct PEs: the two
-// counting-only messages a->b and b->a of a single parallel round, fused into
-// one call. It is exactly equivalent to a Round carrying Count(a, b) and
-// Count(b, a) — both messages extend the sender chains as of the start of
-// the round — but skips the message buffer and the per-message tile lookups.
-//
-// The fusion is only sound because the two endpoints form a complete round by
-// themselves: callers batching a level of many exchanges may fuse them as
-// consecutive CountPair calls only if the pairs are vertex-disjoint, which is
-// what defines a sorting-network level. Like Batch.Count, CountPair emits no
-// trace event and delivers no register, so it is intended for machines in
-// counting-only mode (see CountingOnly).
-func (m *Machine) CountPair(a, b PEHandle) {
-	if a.p == b.p {
-		m.noteTouch(a.c, a.p) // two self-sends: free local computation
-		return
+// Exchange charges one compare-exchange between wires i != j: the two
+// counting-only messages i->j and j->i of one parallel round, each extending
+// its sender's chain as of the start of the exchange. Consecutive exchanges
+// form one round only if they are vertex-disjoint, which is what defines a
+// sorting-network level.
+func (w *Wires) Exchange(i, j int) {
+	a, b := w.homes[i], w.homes[j]
+	d := w.bk.homeDist(a, b)
+	w.acc.energy += 2 * d
+	w.acc.messages += 2
+	if w.cong != nil {
+		w.cong.routeHomes(w.bk, a, b)
+		w.cong.routeHomes(w.bk, b, a)
 	}
-	d := m.dist(a.c, b.c)
-	m.energy += 2 * d
-	m.messages += 2
-	if m.cong != nil {
-		m.cong.route(m.bk, a.c, b.c)
-		m.cong.route(m.bk, b.c, a.c)
+	ci, cj := &w.clk[i], &w.clk[j]
+	id, idist := ci.depth+1, ci.dist+d
+	jd, jdist := cj.depth+1, cj.dist+d
+	w.acc.maxDepth = max(w.acc.maxDepth, id, jd)
+	w.acc.maxDist = max(w.acc.maxDist, idist, jdist)
+	ci.merge(jd, jdist)
+	cj.merge(id, idist)
+}
+
+// Close writes the wires' clocks back to their PEs and adds the exchanges'
+// costs to the machine. The kernel must not be used afterwards.
+func (w *Wires) Close() {
+	for i, p := range w.pes {
+		p.clk = w.clk[i]
 	}
-	// Start-of-round sender clocks: nothing else in this (two-message) round
-	// touches a or b, so reading them directly is the round snapshot.
-	ad, adist := a.p.clk.depth+1, a.p.clk.dist+d
-	bd, bdist := b.p.clk.depth+1, b.p.clk.dist+d
-	if ad > m.maxDepth {
-		m.maxDepth = ad
-	}
-	if bd > m.maxDepth {
-		m.maxDepth = bd
-	}
-	if adist > m.maxDist {
-		m.maxDist = adist
-	}
-	if bdist > m.maxDist {
-		m.maxDist = bdist
-	}
-	m.noteTouch(a.c, a.p)
-	m.noteTouch(b.c, b.p)
-	a.p.clk.merge(bd, bdist)
-	b.p.clk.merge(ad, adist)
+	w.m.addCharge(w.acc)
 }
 
 // SetBatchSends marks the machine as driven through the batched send API,

@@ -149,59 +149,133 @@ func TestShardedEventStream(t *testing.T) {
 	}
 }
 
-// TestCountMatchesSend: a counting-only round must charge exactly like a
-// value round — energy, depth, distance, messages, clocks, touched PEs —
-// with only the register traffic (and hence PeakMemory) skipped.
-func TestCountMatchesSend(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		val, cnt := New(), New()
-		if k > 1 {
-			val.SetShards(k)
-			val.shardMin = 1
-			cnt.SetShards(k)
-			cnt.shardMin = 1
+// exchangeWorkload drives m through random vertex-disjoint exchange levels
+// over random distinct wires, along one of three paths: "value" rounds that
+// deliver registers, "count" rounds of Batch.Count, or a Wires kernel. The
+// random draws do not depend on the path, so all three see the same levels.
+// With nested set, some levels run inside nested Independent branches.
+func exchangeWorkload(m *Machine, path string, nested bool) {
+	rng := rand.New(rand.NewSource(5))
+	const side, wires = 12, 48
+	// Negative coordinates too, so the fold's Euclidean modulo is exercised.
+	at := func(i int) Coord { return Coord{i/side - 3, i%side - 5} }
+	for i := 0; i < side*side; i++ {
+		m.Set(at(i), "v", float64(i))
+	}
+	network := func() {
+		cs := make([]Coord, wires)
+		for i, p := range rng.Perm(side * side)[:wires] {
+			cs[i] = at(p)
 		}
-		for _, m := range []*Machine{val, cnt} {
-			for i := 0; i < 64; i++ {
-				m.Set(Coord{0, i}, "v", float64(i))
-			}
+		var w *Wires
+		if path == "wires" {
+			w = m.BindWires(cs)
 		}
-		for r := 0; r < 3; r++ {
-			val.SendBatch(func(b *Batch) {
-				for i := 0; i < 63; i++ {
-					b.Send(Coord{0, i}, Coord{0, i + 1}, "in", float64(i))
-					b.Send(Coord{0, i + 1}, Coord{0, i}, "in", float64(i))
+		for l := 0; l < 6; l++ {
+			pairs := rng.Perm(wires)[:2*rng.Intn(wires/2+1)]
+			switch path {
+			case "wires":
+				for k := 0; k < len(pairs); k += 2 {
+					w.Exchange(pairs[k], pairs[k+1])
 				}
-			})
-			for i := 0; i < 64; i++ {
-				val.Del(Coord{0, i}, "in")
-			}
-			cnt.SendBatch(func(b *Batch) {
-				for i := 0; i < 63; i++ {
-					b.Count(Coord{0, i}, Coord{0, i + 1})
-					b.Count(Coord{0, i + 1}, Coord{0, i})
+			case "count":
+				m.SendBatch(func(b *Batch) {
+					for k := 0; k < len(pairs); k += 2 {
+						b.Count(cs[pairs[k]], cs[pairs[k+1]])
+						b.Count(cs[pairs[k+1]], cs[pairs[k]])
+					}
+				})
+			case "value":
+				m.SendBatch(func(b *Batch) {
+					for k := 0; k < len(pairs); k += 2 {
+						b.Send(cs[pairs[k]], cs[pairs[k+1]], "in", float64(k))
+						b.Send(cs[pairs[k+1]], cs[pairs[k]], "in", float64(k))
+					}
+				})
+				for _, p := range pairs {
+					m.Del(cs[p], "in")
 				}
-			})
-		}
-		mv, mc := val.Metrics(), cnt.Metrics()
-		mv.PeakMemory, mc.PeakMemory = 0, 0
-		if mv != mc {
-			t.Fatalf("shards=%d: counting metrics %v != value metrics %v", k, mc, mv)
-		}
-		if val.TouchedPEs() != cnt.TouchedPEs() {
-			t.Fatalf("shards=%d: touched %d != %d", k, cnt.TouchedPEs(), val.TouchedPEs())
-		}
-		for i := 0; i < 64; i++ {
-			dv, xv := val.Clock(Coord{0, i})
-			dc, xc := cnt.Clock(Coord{0, i})
-			if dv != dc || xv != xc {
-				t.Fatalf("shards=%d: clock mismatch at %d: %d/%d vs %d/%d", k, i, dc, xc, dv, xv)
 			}
 		}
-		if cnt.Metrics().PeakMemory != 1 {
-			t.Fatalf("counting run materialized registers: peak %d", cnt.Metrics().PeakMemory)
+		if w != nil {
+			w.Close()
 		}
 	}
+	network()
+	if nested {
+		m.Independent(network, func() { m.Independent(network, network) })
+	}
+	network()
+}
+
+// checkCountMatchesSend: counting-only rounds and the Wires kernel must
+// charge exactly like value rounds — energy, depth, distance, messages,
+// per-PE clocks, touched PEs and link loads — with only the register
+// traffic (and hence PeakMemory) skipped, under backend bk, with congestion
+// tracking off and on, at top level and inside nested Independent branches,
+// on the sequential and the sharded engine.
+func checkCountMatchesSend(t *testing.T, bk Backend) {
+	for _, cong := range []bool{false, true} {
+		for _, nested := range []bool{false, true} {
+			for _, k := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/cong=%v/nested=%v/shards=%d", bk, cong, nested, k), func(t *testing.T) {
+					ms := map[string]*Machine{}
+					for _, path := range []string{"value", "count", "wires"} {
+						m := New()
+						m.SetBackend(bk)
+						m.SetShards(k)
+						m.shardMin = 1
+						if cong {
+							m.EnableCongestionTracking()
+						}
+						exchangeWorkload(m, path, nested)
+						ms[path] = m
+					}
+					if w, c := ms["wires"].Metrics(), ms["count"].Metrics(); w != c {
+						t.Fatalf("wires metrics %v != count metrics %v", w, c)
+					}
+					val := ms["value"]
+					want := val.Metrics()
+					want.PeakMemory = 0
+					for _, path := range []string{"count", "wires"} {
+						m := ms[path]
+						got := m.Metrics()
+						got.PeakMemory = 0
+						if got != want {
+							t.Fatalf("%s: metrics %v != value metrics %v", path, got, want)
+						}
+						if m.TouchedPEs() != val.TouchedPEs() {
+							t.Fatalf("%s: touched %d != %d", path, m.TouchedPEs(), val.TouchedPEs())
+						}
+						if m.MaxCongestion() != val.MaxCongestion() || (cong && !reflect.DeepEqual(m.cong.tiles, val.cong.tiles)) {
+							t.Fatalf("%s: link loads differ (peak %d vs %d)", path, m.MaxCongestion(), val.MaxCongestion())
+						}
+						for row := -3; row < 9; row++ {
+							for col := -5; col < 7; col++ {
+								c := Coord{row, col}
+								dv, xv := val.Clock(c)
+								if d, x := m.Clock(c); d != dv || x != xv {
+									t.Fatalf("%s: clock at %v: %d/%d, want %d/%d", path, c, d, x, dv, xv)
+								}
+							}
+						}
+					}
+					if !bk.Finite() && ms["wires"].Metrics().PeakMemory != 1 {
+						t.Fatalf("wires run materialized registers: peak %d", ms["wires"].Metrics().PeakMemory)
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestCountMatchesSend(t *testing.T) { checkCountMatchesSend(t, Ideal()) }
+
+// TestCountMatchesSendFolded is checkCountMatchesSend on folded fabrics,
+// where the Wires kernel charges between homes folded once at bind time.
+func TestCountMatchesSendFolded(t *testing.T) {
+	checkCountMatchesSend(t, Mesh(5, 3, 2))
+	checkCountMatchesSend(t, Torus(4, 4, 3))
 }
 
 // TestShardedMemoryLimit: the sharded engine must surface the same first
@@ -235,7 +309,8 @@ func TestShardedMemoryLimit(t *testing.T) {
 	}
 }
 
-// TestRoundMisuse covers the batch API's contract panics.
+// TestRoundMisuse covers the batch API's and the Wires kernel's contract
+// panics.
 func TestRoundMisuse(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		defer func() {
@@ -260,6 +335,9 @@ func TestRoundMisuse(t *testing.T) {
 		b := m.Round()
 		b.Flush()
 		b.Flush()
+	})
+	expectPanic("PE bound to two wires", func() {
+		m.BindWires([]Coord{{0, 0}, {0, 1}, {0, 0}})
 	})
 }
 

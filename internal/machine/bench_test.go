@@ -125,21 +125,34 @@ func BenchmarkMachineCountRound(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineCountPair measures the fused compare-exchange primitive
-// sorting networks run level after level: two counting-only messages with
-// the tile lookups hoisted into pre-resolved handles.
-func BenchmarkMachineCountPair(b *testing.B) {
+// BenchmarkMachineWires measures the counting kernel sorting networks run
+// level after level, in the layout of Shearsort's column phases: 2^16 wires
+// bound column by column on a 256x256 region, one op being one odd-even
+// transposition level over every column. The wires' clocks and homes (2 MB)
+// do not fit in the L1 or L2 cache, so a kernel that chased PE structs
+// instead of dense clocks would show here.
+func BenchmarkMachineWires(b *testing.B) {
+	const side = 256
 	m := New()
 	m.SetBatchSends(true)
-	hs := make([]PEHandle, 64)
-	for i := range hs {
-		hs[i] = m.Handle(Coord{0, i})
+	cs := make([]Coord, 0, side*side)
+	for col := 0; col < side; col++ {
+		for row := 0; row < side; row++ {
+			cs = append(cs, Coord{row, col})
+		}
 	}
+	w := m.BindWires(cs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CountPair(hs[i%32], hs[i%32+32])
+		for base := 0; base < len(cs); base += side {
+			for j := i % 2; j+1 < side; j += 2 {
+				w.Exchange(base+j, base+j+1)
+			}
+		}
 	}
+	b.StopTimer()
+	w.Close()
 }
 
 // BenchmarkMachineShardedRound measures one large batched round executed

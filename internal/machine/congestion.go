@@ -112,14 +112,16 @@ func (c *congestion) bump(at Coord, d linkDir) {
 // shows — and TotalLinkTraversals still equals the energy, because every
 // message bumps exactly its backend distance in links.
 func (c *congestion) route(b Backend, from, to Coord) {
-	switch b.Kind {
-	case BackendIdeal:
-		c.routeMessage(from, to)
-	case BackendMesh:
-		c.routeMessage(b.Fold(from), b.Fold(to))
-	case BackendTorus:
-		c.routeTorus(b.Fold(from), b.Fold(to), b.W, b.H)
+	c.routeHomes(b, b.Fold(from), b.Fold(to))
+}
+
+// routeHomes is route between two homes as Fold returns them.
+func (c *congestion) routeHomes(b Backend, p, q Coord) {
+	if b.Kind == BackendTorus {
+		c.routeTorus(p, q, b.W, b.H)
+		return
 	}
+	c.routeMessage(p, q)
 }
 
 // routeTorus walks the X-then-Y path on a W×H torus, taking the shorter

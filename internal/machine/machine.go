@@ -126,7 +126,8 @@ type pe struct {
 	touched bool
 	// snapClk/snapSeen implement Par's start-of-round clock snapshot
 	// without a per-round map: a snapshot is valid iff snapSeen equals the
-	// machine's current round stamp.
+	// machine's current round stamp. BindWires stamps snapSeen too, to find
+	// a PE bound to two wires.
 	snapClk  clock
 	snapSeen uint64
 	// indepSeen is the generation of the innermost active Independent

@@ -68,12 +68,21 @@ type shardTouch struct {
 	seen uint64
 }
 
-// chargeAccum is one charge chunk's shard-local counters.
+// chargeAccum holds the counters of messages charged off the machine: one
+// charge chunk's shard-local counters, or a Wires kernel's.
 type chargeAccum struct {
 	energy   int64
 	messages int64
 	maxDepth int64
 	maxDist  int64
+}
+
+// addCharge adds the counters of a chargeAccum to the machine's.
+func (m *Machine) addCharge(a chargeAccum) {
+	m.energy += a.energy
+	m.messages += a.messages
+	m.maxDepth = max(m.maxDepth, a.maxDepth)
+	m.maxDist = max(m.maxDist, a.maxDist)
 }
 
 // shardViolation records the earliest memory-limit violation seen by one
@@ -175,15 +184,7 @@ func (m *Machine) processSharded(msgs []bmsg) {
 		}
 		wg.Wait()
 		for w := 0; w < k; w++ {
-			a := &s.charges[w]
-			m.energy += a.energy
-			m.messages += a.messages
-			if a.maxDepth > m.maxDepth {
-				m.maxDepth = a.maxDepth
-			}
-			if a.maxDist > m.maxDist {
-				m.maxDist = a.maxDist
-			}
+			m.addCharge(s.charges[w])
 		}
 	}
 

@@ -16,10 +16,11 @@
 // communication pattern is oblivious to the values, the package also
 // supports the machine's counting-only fast path: when
 // machine.CountingOnly() reports true, values are kept host-side and each
-// comparator issues two Batch.Count messages instead of register traffic,
-// leaving Energy, Depth, Distance and Messages bit-identical. Large
-// networks stream their levels (see Levels) so a 2^20-wire bitonic network
-// never materializes its ~2*10^8 comparators at once.
+// comparator is one exchange on a machine.Wires kernel bound to the
+// network's wires instead of register traffic, leaving Energy, Depth,
+// Distance and Messages bit-identical. Large networks stream their levels
+// (see Levels) so a 2^20-wire bitonic network never materializes its
+// ~2*10^8 comparators at once.
 package sortnet
 
 import (
@@ -261,50 +262,53 @@ func RunMany(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) 
 }
 
 // runManyCounting is RunMany on the counting-only fast path: the values
-// live in host memory and each comparator is one machine.CountPair — the
-// fused form of the two counting messages the register-delivering path
+// live in host memory and each comparator is one machine.Wires exchange —
+// the fused form of the two counting messages the register-delivering path
 // would send, sound because the comparators of a level are vertex-disjoint.
-// Track PEs are resolved to handles once, so the per-comparator work is pure
-// arithmetic on the cost counters: no message buffer, no tile lookups. The
-// sorted values are placed back into reg at the end. All cost metrics except
+// The tracks are flattened into one wire list, so a track's wires (and their
+// clocks) sit side by side whatever its layout on the grid. The sorted
+// values are placed back into reg at the end. All cost metrics except
 // PeakMemory (no "net.in" register ever materializes) are bit-identical.
 func runManyCounting(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) {
-	vals := make([][]machine.Value, len(tracks))
-	hs := make([][]machine.PEHandle, len(tracks))
-	for ti, tr := range tracks {
-		n := tr.Track.Len()
-		vals[ti] = make([]machine.Value, n)
-		hs[ti] = make([]machine.PEHandle, n)
-		for i := 0; i < n; i++ {
+	total := 0
+	for _, tr := range tracks {
+		total += tr.Track.Len()
+	}
+	cs := make([]machine.Coord, 0, total)
+	vals := make([]machine.Value, 0, total)
+	for _, tr := range tracks {
+		for i := 0; i < tr.Track.Len(); i++ {
 			c := tr.Track.At(i)
-			vals[ti][i] = m.Get(c, reg)
-			hs[ti][i] = m.Handle(c)
+			cs = append(cs, c)
+			vals = append(vals, m.Get(c, reg))
 		}
 	}
+	w := m.BindWires(cs)
 	var level []Comparator
 	for l := 0; l < ls.Count; l++ {
 		level = ls.At(l, level)
-		for ti, tr := range tracks {
-			vs, h := vals[ti], hs[ti]
+		base := 0
+		for _, tr := range tracks {
 			for _, c := range level {
-				m.CountPair(h[c.Lo], h[c.Hi])
-				a, bv := vs[c.Lo], vs[c.Hi]
+				lo, hi := base+c.Lo, base+c.Hi
+				w.Exchange(lo, hi)
+				a, bv := vals[lo], vals[hi]
 				small, large := a, bv
 				if tr.Less(bv, a) {
 					small, large = bv, a
 				}
 				if c.Asc {
-					vs[c.Lo], vs[c.Hi] = small, large
+					vals[lo], vals[hi] = small, large
 				} else {
-					vs[c.Lo], vs[c.Hi] = large, small
+					vals[lo], vals[hi] = large, small
 				}
 			}
+			base += tr.Track.Len()
 		}
 	}
-	for ti, tr := range tracks {
-		for i, v := range vals[ti] {
-			m.Set(tr.Track.At(i), reg, v)
-		}
+	w.Close()
+	for i, c := range cs {
+		m.Set(c, reg, vals[i])
 	}
 }
 
