@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-full experiments-refresh staticcheck
+.PHONY: check bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
 
 # check is the full gate: build, vet, staticcheck, the race-enabled test
-# suite, the trace-artifact smoke test, the spatiald daemon smoke test and
-# the quick conformance run.
+# suite, the trace-artifact smoke test, the spatiald daemon smoke test,
+# the quick conformance run and its byte-for-byte verdict check.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -16,6 +16,7 @@ check:
 	$(MAKE) graph-smoke
 	$(MAKE) backend-smoke
 	$(MAKE) conformance QUICK=1
+	$(MAKE) conformance-golden
 
 test:
 	$(GO) test ./...
@@ -43,6 +44,17 @@ staticcheck:
 # engine's). JSON=1 emits structured verdicts on stdout.
 conformance:
 	@$(GO) run ./cmd/boundcheck $(if $(QUICK),-quick,-full) $(if $(JSON),-json)
+
+# conformance-golden checks the whole quick verdict document, not only
+# that every claim holds: one worker and one shard at the default seed,
+# compared byte for byte with the benchmark's golden copy (read here,
+# never written). A change that moves any claim's fitted exponent, ratio
+# or detail string fails it, not just one that breaks a bound.
+conformance-golden:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/boundcheck -quick -json -parallel 1 -shards 1 > $$tmp/quick.json; \
+	cmp $$tmp/quick.json perfbench/golden/conformance-quick-seed1.json \
+		|| { echo "conformance-golden: quick verdicts differ from perfbench/golden/conformance-quick-seed1.json" >&2; exit 1; }
 
 # conformance-full is the nightly entry point: full sweeps with a
 # per-sweep wall-clock budget so a slow runner truncates sweeps (recorded

@@ -85,27 +85,28 @@ func Broadcast(m *machine.Machine, r grid.Rect, reg machine.Reg) {
 // stream are identical to issuing them as singleton Sends — sends never
 // advance the sender's clock — but the round is eligible for sharding).
 func broadcast2D(m *machine.Machine, r grid.Rect, reg machine.Reg) {
+	quads, k := halfQuadrants(r)
 	v := m.Get(r.Origin, reg)
 	m.SendBatch(func(b *machine.Batch) {
-		for _, q := range halfQuadrants(r) {
+		for _, q := range quads[:k] {
 			if q.Origin != r.Origin {
 				b.Send(r.Origin, q.Origin, reg, v)
 			}
 		}
 	})
-	for _, q := range halfQuadrants(r) {
+	for _, q := range quads[:k] {
 		broadcast2D(m, q, reg)
 	}
 }
 
 // halfQuadrants splits r into up to four quadrants by halving each side
-// (rounding up), omitting empty ones. A 1x1 region yields nothing.
-func halfQuadrants(r grid.Rect) []grid.Rect {
+// (rounding up), omitting empty ones: the quadrants are the first k
+// entries. A 1x1 region yields none.
+func halfQuadrants(r grid.Rect) (quads [4]grid.Rect, k int) {
 	if r.H == 1 && r.W == 1 {
-		return nil
+		return quads, 0
 	}
 	h1, w1 := (r.H+1)/2, (r.W+1)/2
-	var out []grid.Rect
 	for _, part := range [4][4]int{
 		{0, 0, h1, w1},
 		{0, w1, h1, r.W - w1},
@@ -113,10 +114,11 @@ func halfQuadrants(r grid.Rect) []grid.Rect {
 		{h1, w1, r.H - h1, r.W - w1},
 	} {
 		if part[2] > 0 && part[3] > 0 {
-			out = append(out, grid.Rect{Origin: r.At(part[0], part[1]), H: part[2], W: part[3]})
+			quads[k] = grid.Rect{Origin: r.At(part[0], part[1]), H: part[2], W: part[3]}
+			k++
 		}
 	}
-	return out
+	return quads, k
 }
 
 // BroadcastTrack broadcasts the value at track position 0 to every position

@@ -132,3 +132,20 @@ func TestBroadcastMemoryConstant(t *testing.T) {
 		Broadcast(m, r, "v") // panics if any PE exceeds one register
 	}
 }
+
+// TestBroadcastSteadyStateAllocFree: once a recycled machine's tiles are
+// warm, a 2-D broadcast allocates nothing on the host; the quadrant splits
+// stay on the stack.
+func TestBroadcastSteadyStateAllocFree(t *testing.T) {
+	m := machine.New()
+	r := grid.Square(machine.Coord{}, 32)
+	work := func() {
+		m.Reset()
+		m.Set(r.Origin, "v", 1.0)
+		Broadcast(m, r, "v")
+	}
+	work() // warm the tiles and per-PE register slices
+	if avg := testing.AllocsPerRun(20, work); avg != 0 {
+		t.Errorf("warmed 32x32 Broadcast = %.1f allocs/run, want 0", avg)
+	}
+}

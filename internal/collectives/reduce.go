@@ -64,15 +64,15 @@ func Reduce(m *machine.Machine, r grid.Rect, reg machine.Reg, op Op) {
 // reduce2D reduces a (near-)square region to its origin by reversing the
 // recursive quadrant broadcast. Odd sides split into uneven halves.
 func reduce2D(m *machine.Machine, r grid.Rect, reg machine.Reg, op Op) {
-	quads := halfQuadrants(r)
-	if len(quads) == 0 {
+	quads, k := halfQuadrants(r)
+	if k == 0 {
 		return
 	}
-	for _, q := range quads {
+	for _, q := range quads[:k] {
 		reduce2D(m, q, reg, op)
 	}
 	acc := m.Get(r.Origin, reg)
-	for _, q := range quads {
+	for _, q := range quads[:k] {
 		if q.Origin == r.Origin {
 			continue
 		}

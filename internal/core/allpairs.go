@@ -96,14 +96,13 @@ func AllPairsSort(m *machine.Machine, t grid.Track, reg machine.Reg, n int, scra
 
 	// Step 4 + 5: every cell j of block i compares A_j with A_i; a
 	// reduction per block counts how many elements precede A_i.
-	lt := taggedLess(less)
 	for i := 0; i < n; i++ {
 		blk := blockRect(i)
 		own := m.Get(blk.Origin, "ap.own").(tagged)
 		tr := grid.RowMajor(blk)
 		for j := 0; j < blk.Size(); j++ {
 			cnt := int64(0)
-			if j < n && lt(m.Get(tr.At(j), "ap.arr").(tagged), own) {
+			if j < n && m.Get(tr.At(j), "ap.arr").(tagged).before(own, less) {
 				cnt = 1
 			}
 			m.Set(tr.At(j), "ap.cnt", cnt)

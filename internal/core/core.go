@@ -29,21 +29,25 @@ type tagged struct {
 	idx int  // index within the source array
 }
 
-// taggedLess orders tagged elements by value, breaking ties by (src, idx).
-func taggedLess(less order.Less) order.Less {
-	return func(a, b machine.Value) bool {
-		x, y := a.(tagged), b.(tagged)
-		if less(x.v, y.v) {
-			return true
-		}
-		if less(y.v, x.v) {
-			return false
-		}
-		if x.src != y.src {
-			return x.src < y.src
-		}
-		return x.idx < y.idx
+// before reports whether x precedes y in the tagged order: by value,
+// breaking ties by (src, idx). Since less is a strict weak ordering, this
+// is a strict total order on distinct elements.
+func (x tagged) before(y tagged, less order.Less) bool {
+	if less(x.v, y.v) {
+		return true
 	}
+	if less(y.v, x.v) {
+		return false
+	}
+	if x.src != y.src {
+		return x.src < y.src
+	}
+	return x.idx < y.idx
+}
+
+// taggedLess adapts before to boxed values, for the sorting networks.
+func taggedLess(less order.Less) order.Less {
+	return func(a, b machine.Value) bool { return a.(tagged).before(b.(tagged), less) }
 }
 
 // padded wraps an element or a +/- infinity sentinel, used to pad arrays to

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/machine"
@@ -143,37 +144,38 @@ func moveSplit(m *machine.Machine, ts [2]grid.Track, reg machine.Reg, dest func(
 // directly into out, computing destination ranks locally at a coordinator
 // and routing each element with one message.
 func routeMergedSmall(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, out grid.Track, less order.Less) {
-	type src struct {
-		t   grid.Track
-		i   int
-		val tagged
-	}
-	var elems []src
-	for i := 0; i < tA.Len(); i++ {
-		elems = append(elems, src{tA, i, tagged{v: m.Get(tA.At(i), reg), src: 0, idx: i}})
-	}
-	for i := 0; i < tB.Len(); i++ {
-		elems = append(elems, src{tB, i, tagged{v: m.Get(tB.At(i), reg), src: 1, idx: i}})
-	}
-	lt := taggedLess(less)
-	// Stable two-array merge: count, for each element, how many others
-	// precede it in the tagged total order.
-	ranks := make([]int, len(elems))
-	for i := range elems {
-		for j := range elems {
-			if j != i && lt(elems[j].val, elems[i].val) {
-				ranks[i]++
-			}
+	ts := [2]grid.Track{tA, tB}
+	elems := make([]tagged, 0, tA.Len()+tB.Len())
+	for s, t := range ts {
+		for i := 0; i < t.Len(); i++ {
+			elems = append(elems, tagged{v: m.Get(t.At(i), reg), src: int8(s), idx: i})
 		}
 	}
-	for i := range elems {
-		m.Del(elems[i].t.At(elems[i].i), reg)
+	ranks := taggedRanks(elems, less)
+	for _, e := range elems {
+		m.Del(ts[e.src].At(e.idx), reg)
 	}
 	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
 		for i, e := range elems {
-			send(e.t.At(e.i), out.At(ranks[i]), reg, e.val.v)
+			send(ts[e.src].At(e.idx), out.At(ranks[i]), reg, e.v)
 		}
 	})
+}
+
+// taggedRanks returns each element's rank in the tagged total order (the
+// number of elements before it), found by sorting positions once. The
+// order is total, so every correct sort yields the same ranks.
+func taggedRanks(elems []tagged, less order.Less) []int {
+	pos := make([]int, len(elems))
+	for i := range pos {
+		pos[i] = i
+	}
+	sort.Slice(pos, func(a, b int) bool { return elems[pos[a]].before(elems[pos[b]], less) })
+	ranks := make([]int, len(elems))
+	for r, i := range pos {
+		ranks[i] = r
+	}
+	return ranks
 }
 
 // moveSplit and the final permutation both move each element once per

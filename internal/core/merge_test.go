@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -334,6 +335,154 @@ func TestPermuteReversalEnergy(t *testing.T) {
 		scale := float64(n) * float64(side)
 		if e < scale/4 || e > 4*scale {
 			t.Errorf("side %d: reversal energy %.0f not Theta(n^{3/2}) = ~%.0f", side, e, scale)
+		}
+	}
+}
+
+// ranksByCount is the reference ranking: each element's rank is the number
+// of others before it in the tagged order (value, then source array, then
+// index), counted over all pairs.
+func ranksByCount(elems []tagged, less order.Less) []int {
+	precedes := func(x, y tagged) bool {
+		if less(x.v, y.v) || less(y.v, x.v) {
+			return less(x.v, y.v)
+		}
+		if x.src != y.src {
+			return x.src < y.src
+		}
+		return x.idx < y.idx
+	}
+	ranks := make([]int, len(elems))
+	for i := range elems {
+		for j := range elems {
+			if j != i && precedes(elems[j], elems[i]) {
+				ranks[i]++
+			}
+		}
+	}
+	return ranks
+}
+
+// twoArrays tags a and b as the elements of arrays A and B.
+func twoArrays(a, b []float64) []tagged {
+	var elems []tagged
+	for i, v := range a {
+		elems = append(elems, tagged{v: v, src: 0, idx: i})
+	}
+	for i, v := range b {
+		elems = append(elems, tagged{v: v, src: 1, idx: i})
+	}
+	return elems
+}
+
+func TestTaggedRanksMatchPairCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	check := func(name string, elems []tagged) {
+		t.Helper()
+		if got, want := taggedRanks(elems, order.Float64), ranksByCount(elems, order.Float64); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (%d elements): ranks %v, want %v", name, len(elems), got, want)
+		}
+	}
+	draw := func(n, distinct int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(distinct))
+		}
+		return v
+	}
+	// Heavy ties: at most four distinct values, split unevenly.
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		nA := rng.Intn(n + 1)
+		vals := draw(n, 1+rng.Intn(4))
+		check("ties", twoArrays(vals[:nA], vals[nA:]))
+	}
+	// One-sided: a single sorted array, as every merge of sorted runs
+	// produces.
+	for _, n := range []int{17, 64, 100, 255, 256, 1000, 1024} {
+		vals := draw(n, 1+n/8)
+		sort.Float64s(vals)
+		check("one-sided A", twoArrays(vals, nil))
+		check("one-sided B", twoArrays(nil, vals))
+	}
+	// MergeSort's base case: unsorted row-major halves of up to 16 cells.
+	for trial := 0; trial < 100; trial++ {
+		n := []int{4, 16}[trial%2]
+		vals := draw(n, 1+rng.Intn(n))
+		check("base case", twoArrays(vals[:n/2], vals[n/2:]))
+	}
+}
+
+// runMergePin runs op on an n-element input on the square of side sqrt(n)
+// and returns the machine. "random" draws uniform values; "runs" is the
+// sorted-runs input graph edge keys produce: Merge's A lies wholly below
+// its B, and MergeSort's values ascend along the Z-order track, so every
+// quadrant lies below the next and every merge is one-sided below its
+// top-level split.
+func runMergePin(op, input string, n int) (*machine.Machine, grid.Rect) {
+	r := grid.Square(machine.Coord{}, isqrt(n))
+	rng := rand.New(rand.NewSource(int64(n)))
+	m := machine.New()
+	switch op {
+	case "Merge":
+		a, b := sortedRandom(rng, n/2, 1000), sortedRandom(rng, n/2, 1000)
+		if input == "runs" {
+			for i := range a {
+				a[i], b[i] = float64(i), float64(n/2+i)
+			}
+		}
+		tA, tB := grid.RowMajor(r.TopHalf()), grid.RowMajor(r.BottomHalf())
+		for i := range a {
+			m.Set(tA.At(i), "v", a[i])
+			m.Set(tB.At(i), "v", b[i])
+		}
+		Merge(m, tA, tB, "v", r, order.Float64)
+	case "MergeSort":
+		t := grid.ZOrder(r)
+		for i := 0; i < n; i++ {
+			v := float64(i)
+			if input == "random" {
+				v = rng.Float64()
+			}
+			m.Set(t.At(i), "v", v)
+		}
+		MergeSort(m, r, "v", order.Float64)
+	}
+	return m, r
+}
+
+// TestMergeCostsPinned pins the model's costs of Merge and MergeSort, so
+// host-side rewrites of the value path cannot move them. The values were
+// recorded before ranks were computed by sorting instead of pair counting.
+func TestMergeCostsPinned(t *testing.T) {
+	cases := []struct {
+		op, input string
+		n         int
+		want      machine.Metrics
+		touched   int
+	}{
+		{"Merge", "random", 256, machine.Metrics{Energy: 101155, Depth: 88, Distance: 343, Messages: 32144, PeakMemory: 5}, 560},
+		{"Merge", "runs", 256, machine.Metrics{Energy: 81638, Depth: 70, Distance: 299, Messages: 25214, PeakMemory: 5}, 540},
+		{"Merge", "random", 4096, machine.Metrics{Energy: 2793217, Depth: 336, Distance: 2933, Messages: 792685, PeakMemory: 6}, 5760},
+		{"Merge", "runs", 4096, machine.Metrics{Energy: 365557, Depth: 151, Distance: 1754, Messages: 62643, PeakMemory: 5}, 5248},
+		{"MergeSort", "random", 256, machine.Metrics{Energy: 167643, Depth: 169, Distance: 549, Messages: 55719, PeakMemory: 5}, 592},
+		{"MergeSort", "runs", 256, machine.Metrics{Energy: 134790, Depth: 136, Distance: 478, Messages: 43726, PeakMemory: 5}, 560},
+		{"MergeSort", "random", 4096, machine.Metrics{Energy: 11718044, Depth: 1139, Distance: 7533, Messages: 3526679, PeakMemory: 6}, 5992},
+		{"MergeSort", "runs", 4096, machine.Metrics{Energy: 4387091, Depth: 618, Distance: 5121, Messages: 1244003, PeakMemory: 6}, 5600},
+	}
+	for _, c := range cases {
+		m, r := runMergePin(c.op, c.input, c.n)
+		if got := m.Metrics(); got != c.want {
+			t.Errorf("%s %s n=%d: %v, want %v", c.op, c.input, c.n, got, c.want)
+		}
+		if got := m.TouchedPEs(); got != c.touched {
+			t.Errorf("%s %s n=%d: %d touched PEs, want %d", c.op, c.input, c.n, got, c.touched)
+		}
+		out := grid.RowMajor(r)
+		for i := 1; i < c.n; i++ {
+			if m.Get(out.At(i), "v").(float64) < m.Get(out.At(i-1), "v").(float64) {
+				t.Fatalf("%s %s n=%d: output unsorted at %d", c.op, c.input, c.n, i)
+			}
 		}
 	}
 }

@@ -107,7 +107,7 @@ func MultiSelect(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, ks []in
 	for i, k := range ks {
 		i, k := i, k
 		branches[i] = func() {
-			out[i] = selectOneRank(m, tA, tB, reg, k, step, sTrack, s, scratch, less, lt)
+			out[i] = selectOneRank(m, tA, tB, reg, k, step, sTrack, s, scratch, less)
 		}
 	}
 	m.Independent(branches...)
@@ -116,7 +116,7 @@ func MultiSelect(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, ks []in
 }
 
 // selectOneRank runs steps 3-6 for one rank, given the sorted sample.
-func selectOneRank(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, k, step int, sTrack grid.Track, s int, scratch grid.Rect, less order.Less, lt order.Less) SplitCounts {
+func selectOneRank(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, k, step int, sTrack grid.Track, s int, scratch grid.Rect, less order.Less) SplitCounts {
 	nA, nB := tA.Len(), tB.Len()
 
 	// Step 3: choose the guide element x = S_l with l = floor((k-1)/step).
@@ -132,8 +132,8 @@ func selectOneRank(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, k, st
 	if l >= 0 {
 		x := m.Get(sTrack.At(l), "sel2.s").(tagged)
 		// Step 4: predecessor boundaries by counting elements below x.
-		a = countBelow(m, tA, reg, 0, x, sTrack.At(l), lt)
-		b = countBelow(m, tB, reg, 1, x, sTrack.At(l), lt)
+		a = countBelow(m, tA, reg, 0, x, sTrack.At(l), less)
+		b = countBelow(m, tB, reg, 1, x, sTrack.At(l), less)
 	}
 
 	// Step 5: windows of W elements starting at a and b. W = 3*step + 4
@@ -215,7 +215,7 @@ func selectSmall(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, ks []in
 // row-major tracks the merge uses, the bounding rectangle has O(len) area,
 // so this costs O(len) energy, O(log len) depth and O(diam) distance —
 // replacing the paper's binary search as described in DESIGN.md (subst. 2).
-func countBelow(m *machine.Machine, t grid.Track, reg machine.Reg, src int8, x tagged, from machine.Coord, lt order.Less) int {
+func countBelow(m *machine.Machine, t grid.Track, reg machine.Reg, src int8, x tagged, from machine.Coord, less order.Less) int {
 	n := t.Len()
 	if n == 0 {
 		return 0
@@ -231,7 +231,7 @@ func countBelow(m *machine.Machine, t grid.Track, reg machine.Reg, src int8, x t
 	}
 	for i := 0; i < n; i++ {
 		c := t.At(i)
-		if lt(tagged{v: m.Get(c, reg), src: src, idx: i}, m.Get(c, "sel2.x").(tagged)) {
+		if (tagged{v: m.Get(c, reg), src: src, idx: i}).before(m.Get(c, "sel2.x").(tagged), less) {
 			m.Set(c, "sel2.cnt", int64(1))
 		}
 	}

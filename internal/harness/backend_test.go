@@ -38,7 +38,7 @@ func TestWithBackendAppliedAndRestored(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
-	m := r.pool.Get().(*machine.Machine)
+	m := machines.Get().(*machine.Machine)
 	if m.Backend().Finite() {
 		t.Errorf("pooled machine backend %q after release, want ideal", m.Backend())
 	}

@@ -5,8 +5,8 @@
 // (experiment x problem size x algorithm variant), each a fresh run on its
 // own simulated machine. The harness decomposes an experiment into point
 // tasks, executes them on a fixed number of workers, leases machines from a
-// sync.Pool (recycled in place with Machine.Reset) and collects the
-// resulting rows back in point order.
+// process-wide sync.Pool (recycled in place with Machine.Reset) and
+// collects the resulting rows back in point order.
 //
 // Determinism: every point draws its randomness from an RNG seeded by
 // (base seed, sweep name, point index) — never from a stream shared across
@@ -69,12 +69,12 @@ func (e *Env) Mapping() mapping.Mapping {
 }
 
 // Machine returns the point's simulation machine, reset to a blank grid.
-// The machine is leased from the runner's pool on first use and returned
-// when the point finishes; calling Machine again within a point resets the
-// same machine for the next measurement.
+// The machine is leased from the process-wide pool on first use and
+// returned when the point finishes; calling Machine again within a point
+// resets the same machine for the next measurement.
 func (e *Env) Machine() *machine.Machine {
 	if e.m == nil {
-		e.m = e.r.pool.Get().(*machine.Machine)
+		e.m = machines.Get().(*machine.Machine)
 		if e.cong {
 			e.m.EnableCongestionTracking()
 		}
@@ -147,10 +147,20 @@ func (e *Env) release() {
 	e.m.SetShards(1)
 	e.m.SetBatchSends(false)
 	e.m.SetBackend(machine.Ideal())
-	e.r.pool.Put(e.m)
+	machines.Put(e.m)
 	e.m = nil
 	e.cp = nil
 }
+
+// machines recycles simulation machines (reset in place) across every
+// runner in the process. A lease applies its runner's sink, shards, batch
+// mode, backend and the sweep's congestion tracking; release puts each
+// back to its default, so a machine carries nothing from one runner to
+// the next. One shared pool, rather than one per runner, keeps a
+// long-lived process holding many runners (the simulation service keeps
+// one per request seed and backend) from retaining a warm machine per
+// runner.
+var machines = sync.Pool{New: func() any { return machine.New() }}
 
 // Option configures a Runner.
 type Option func(*Runner)
@@ -328,8 +338,6 @@ type Runner struct {
 	cache        *simcache.Cache
 	cacheVersion string
 
-	pool sync.Pool // *machine.Machine, recycled via Reset
-
 	mu        sync.Mutex
 	queue     []task
 	head      int
@@ -349,7 +357,6 @@ type Runner struct {
 // New returns a runner whose point RNGs derive from seed.
 func New(seed int64, opts ...Option) *Runner {
 	r := &Runner{seed: seed, workers: runtime.GOMAXPROCS(0)}
-	r.pool.New = func() any { return machine.New() }
 	for _, o := range opts {
 		o(r)
 	}
@@ -587,8 +594,6 @@ func (r *Runner) Go(name string, n int, point PointFunc, opts ...SweepOption) *S
 		}
 		r.queue = append(r.queue, task{s: s, idx: i, cost: costs[i]})
 	}
-	p := r.snapshotLocked()
-	f, w := r.progress, r.weighted
 	// Workers park themselves when the queue drains; top the pool back up
 	// to min(workers, pending).
 	for r.running < r.workers && r.running < len(r.queue)-r.head {
@@ -601,7 +606,7 @@ func (r *Runner) Go(name string, n int, point PointFunc, opts ...SweepOption) *S
 		// One notification for the whole batch of enqueue-time hits: a
 		// fully cached run reports Done == Total (and prints its final
 		// progress line) instead of staying silent.
-		r.notify(f, w, p)
+		r.notify()
 	}
 
 	for i := 0; i < n; i++ {
@@ -670,13 +675,15 @@ func (r *Runner) work() {
 		r.head++
 		r.mu.Unlock()
 		t.run(r)
-		r.tick(t.cost)
 	}
 }
 
 func (t task) run(r *Runner) {
 	s := t.s
+	// Progress callbacks fire before the point counts as done, so a
+	// caller returning from Rows has seen its final progress.
 	defer s.wg.Done()
+	defer r.tick(t.cost)
 	defer s.finishPoint(t.cost)
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		s.mu.Lock()
@@ -713,10 +720,8 @@ func (r *Runner) tick(cost float64) {
 	r.mu.Lock()
 	r.done++
 	r.doneCost += cost
-	p := r.snapshotLocked()
-	f, w := r.progress, r.weighted
 	r.mu.Unlock()
-	r.notify(f, w, p)
+	r.notify()
 }
 
 // snapshotLocked captures runner-level progress; callers hold r.mu.
@@ -728,20 +733,26 @@ func (r *Runner) snapshotLocked() Progress {
 	}
 }
 
-// notify delivers a progress snapshot to the installed callbacks,
-// serialized under progressMu so their arguments stay monotone.
-func (r *Runner) notify(f func(done, total int), w func(Progress), p Progress) {
-	if f == nil && w == nil {
+// notify delivers the current progress to the installed callbacks. The
+// snapshot is taken under progressMu, which serializes deliveries, so
+// their arguments never go backwards and the last delivery sees the
+// final counts. (A snapshot taken before acquiring progressMu could be
+// delivered after a newer one.)
+func (r *Runner) notify() {
+	if r.progress == nil && r.weighted == nil {
 		return
 	}
 	r.progressMu.Lock()
-	if f != nil {
-		f(p.Done, p.Total)
+	defer r.progressMu.Unlock()
+	r.mu.Lock()
+	p := r.snapshotLocked()
+	r.mu.Unlock()
+	if r.progress != nil {
+		r.progress(p.Done, p.Total)
 	}
-	if w != nil {
-		w(p)
+	if r.weighted != nil {
+		r.weighted(p)
 	}
-	r.progressMu.Unlock()
 }
 
 // pointSeed derives a point's RNG seed from (base seed, sweep name, point

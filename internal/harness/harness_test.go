@@ -355,8 +355,65 @@ func TestReleasedMachinesDropSinks(t *testing.T) {
 		m.Send(machine.Coord{}, "v", machine.Coord{Row: 1}, "v")
 		return One(i)
 	})
-	m := r.pool.Get().(*machine.Machine)
+	m := machines.Get().(*machine.Machine)
 	if s := m.Sink(); s != nil {
 		t.Errorf("pooled machine still carries sink %T", s)
+	}
+}
+
+// TestSharedPoolInterleavedRunners: runners share one machine pool, so a
+// machine released by one runner is leased by the next. Two runners with
+// different backends, sinks, shard counts, batch modes and congestion
+// settings run sweeps concurrently, round after round: every lease must
+// carry its own runner's settings, and every released machine must be
+// back at the defaults.
+func TestSharedPoolInterleavedRunners(t *testing.T) {
+	type setup struct {
+		sink    trace.Sink
+		shards  int
+		batch   bool
+		backend machine.Backend
+		cong    bool
+	}
+	sinkA := trace.Synchronized(trace.NewCounters())
+	a := setup{sink: sinkA, shards: 3, batch: true, backend: machine.Mesh(4, 4, 4), cong: true}
+	b := setup{shards: 1, backend: machine.Torus(8, 8, 2)}
+	ra := New(1, WithWorkers(2), WithSink(sinkA), WithShards(3), WithBatchSends(), WithBackend(a.backend))
+	rb := New(2, WithWorkers(2), WithBackend(b.backend))
+	point := func(want setup) PointFunc {
+		return func(i int, env *Env) []Row {
+			m := env.Machine()
+			if m.Sink() != want.sink || m.Shards() != want.shards || m.BatchSends() != want.batch ||
+				m.Backend().String() != want.backend.String() {
+				t.Errorf("point %d leased sink %v, shards %d, batch %v, backend %q; want %v, %d, %v, %q",
+					i, m.Sink(), m.Shards(), m.BatchSends(), m.Backend(), want.sink, want.shards, want.batch, want.backend)
+			}
+			m.Set(machine.Coord{}, "v", 1.0)
+			m.Send(machine.Coord{}, "v", machine.Coord{Col: 9}, "v")
+			if tracked := m.MaxCongestion() > 0; tracked != want.cong {
+				t.Errorf("point %d: congestion tracking %v, want %v", i, tracked, want.cong)
+			}
+			return One(i)
+		}
+	}
+	for round := 0; round < 4; round++ {
+		sa := ra.Go("interleave-a", 6, point(a), WithCongestion())
+		sb := rb.Go("interleave-b", 6, point(b))
+		sa.Rows()
+		sb.Rows()
+	}
+	for i := 0; i < 4; i++ {
+		m := machines.Get().(*machine.Machine)
+		if m.Sink() != nil || m.Shards() != 1 || m.BatchSends() || m.Backend().Finite() {
+			t.Errorf("released machine keeps sink %v, shards %d, batch %v, backend %q",
+				m.Sink(), m.Shards(), m.BatchSends(), m.Backend())
+		}
+		m.Set(machine.Coord{}, "v", 1.0)
+		m.Send(machine.Coord{}, "v", machine.Coord{Col: 9}, "v")
+		if m.MaxCongestion() != 0 {
+			t.Error("released machine still tracks congestion")
+		}
+		m.Reset()
+		machines.Put(m)
 	}
 }

@@ -49,8 +49,10 @@ import (
 // boundcheck jobs.
 type Config struct {
 	// Workers, Shards, Batch configure every harness runner the engine
-	// creates (one per distinct request seed; runner workers park between
-	// jobs, so idle runners cost nothing).
+	// creates. It keeps one runner per distinct (request seed, backend)
+	// for its whole life; an idle runner holds no goroutine and no machine
+	// (workers exit when its queue drains, machines return to the
+	// process-wide pool), but its record stays.
 	Workers int
 	Shards  int
 	Batch   bool
@@ -318,7 +320,17 @@ func (e *Engine) newJob(kind string, run func(*Job)) (*Job, error) {
 	e.submitted.Add(1)
 	go func() {
 		defer e.jobsWG.Done()
-		run(j)
+		func() {
+			// Like lead, turn a panic (a claim evaluated on a malformed
+			// sweep cell, say) into a failed job instead of a dead daemon.
+			// run may have finished the job first; finish it only once.
+			defer func() {
+				if v := recover(); v != nil && j.info().Status == StatusRunning {
+					j.finish(nil, 0, 0, fmt.Errorf("%s job panicked: %v", kind, v))
+				}
+			}()
+			run(j)
+		}()
 		if j.info().Status == StatusFailed {
 			e.failed.Add(1)
 		} else {

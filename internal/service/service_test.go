@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -393,5 +394,41 @@ func TestSweepJobBackendKeyed(t *testing.T) {
 		if _, err := c.SubmitSweep(SweepRequest{Name: "syn/wire", Backend: spec}); err == nil {
 			t.Errorf("overflowing backend spec %q accepted by sweep submission", spec)
 		}
+	}
+}
+
+// TestPanickingJobFails: a claim that panics while evaluating its sweep
+// (here on a non-numeric cell) fails its job with the panic message; the
+// daemon counts the failure and keeps serving.
+func TestPanickingJobFails(t *testing.T) {
+	_, c := testEngine(t, func(cfg *Config) {
+		cfg.Sweeps = func(quick bool) *harness.Registry {
+			reg := synthSweeps(0)(quick)
+			reg.MustRegister(harness.SweepSpec{Name: "syn/text", Points: 2,
+				Point: func(i int, env *harness.Env) []harness.Row { return harness.One("n", "cost") }})
+			return reg
+		}
+		cfg.Claims = func() []bounds.Claim {
+			return append(synthClaims(), bounds.Claim{ID: "syn/text/exp", Source: "test", Stated: "Θ(n)",
+				Kind: bounds.Exponent, Sweep: "syn/text", Col: 1, Want: 1.0, Tol: 0.1})
+		}
+	})
+	id, err := c.SubmitBoundcheck(BoundcheckRequest{Quick: true, Run: "syn/text/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitDone(t, c, id)
+	if info.Status != StatusFailed || !strings.Contains(info.Error, "non-numeric sweep cell") {
+		t.Fatalf("job = %+v, want failed with the panic message", info)
+	}
+	if m, err := c.Metrics(); err != nil || m.Jobs.Failed != 1 {
+		t.Errorf("metrics failed = %d (err %v), want 1", m.Jobs.Failed, err)
+	}
+	id, err = c.SubmitSweep(SweepRequest{Name: "syn/linear", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitDone(t, c, id); info.Status != StatusDone {
+		t.Errorf("next job = %+v, want done", info)
 	}
 }
