@@ -1,15 +1,17 @@
 GO ?= go
 
-.PHONY: check bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
+.PHONY: check contracts bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
 
 # check is the full gate: build, vet, staticcheck, the race-enabled test
-# suite, the trace-artifact smoke test, the spatiald daemon smoke test,
-# the quick conformance run and its byte-for-byte verdict check.
+# suite, the determinism contract suites the race build skips, the
+# trace-artifact smoke test, the spatiald daemon smoke test, the quick
+# conformance run and its byte-for-byte verdict check.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -race ./...
+	$(MAKE) contracts
 	$(MAKE) trace-smoke
 	$(MAKE) spatiald-smoke
 	$(MAKE) tune-smoke
@@ -20,6 +22,18 @@ check:
 
 test:
 	$(GO) test ./...
+
+# contracts runs the determinism contract suites, which skip themselves
+# under -race (the race detector makes their sweeps ~10x slower) and so
+# run in no race-enabled job: every experiment's rows and trace stream
+# byte-identical across shard counts and batch mode, and its answers
+# identical across finite backends. They are what catches a send engine
+# that drifts from byte-identity. Without -race the two packages take
+# about 6 and 4 minutes on one core, near go test's 10-minute default.
+contracts:
+	$(GO) test -count 1 -timeout 20m \
+		-run '^(TestShardBatchOutputInvariance|TestShardTraceStreamInvariance|TestBackendInvariance)$$' \
+		./internal/experiments/ ./internal/experiments/backendinvariance/
 
 # staticcheck runs the pinned honnef.co/go/tools linter. The tool is not
 # vendored, so offline machines (no module proxy) skip it with a warning

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/trace"
 )
 
@@ -150,9 +151,9 @@ func TestShardedEventStream(t *testing.T) {
 }
 
 // exchangeWorkload drives m through random vertex-disjoint exchange levels
-// over random distinct wires, along one of three paths: "value" rounds that
-// deliver registers, "count" rounds of Batch.Count, or a Wires kernel. The
-// random draws do not depend on the path, so all three see the same levels.
+// over random distinct wires, along one of two paths: "value" rounds that
+// deliver registers, or a Wires kernel. The random draws do not depend on
+// the path, so both see the same levels.
 // With nested set, some levels run inside nested Independent branches.
 func exchangeWorkload(m *Machine, path string, nested bool) {
 	rng := rand.New(rand.NewSource(5))
@@ -178,13 +179,6 @@ func exchangeWorkload(m *Machine, path string, nested bool) {
 				for k := 0; k < len(pairs); k += 2 {
 					w.Exchange(pairs[k], pairs[k+1])
 				}
-			case "count":
-				m.SendBatch(func(b *Batch) {
-					for k := 0; k < len(pairs); k += 2 {
-						b.Count(cs[pairs[k]], cs[pairs[k+1]])
-						b.Count(cs[pairs[k+1]], cs[pairs[k]])
-					}
-				})
 			case "value":
 				m.SendBatch(func(b *Batch) {
 					for k := 0; k < len(pairs); k += 2 {
@@ -208,8 +202,8 @@ func exchangeWorkload(m *Machine, path string, nested bool) {
 	network()
 }
 
-// checkCountMatchesSend: counting-only rounds and the Wires kernel must
-// charge exactly like value rounds — energy, depth, distance, messages,
+// checkCountMatchesSend: the Wires counting kernel must charge exactly like
+// value rounds — energy, depth, distance, messages,
 // per-PE clocks, touched PEs and link loads — with only the register
 // traffic (and hence PeakMemory) skipped, under backend bk, with congestion
 // tracking off and on, at top level and inside nested Independent branches,
@@ -220,7 +214,7 @@ func checkCountMatchesSend(t *testing.T, bk Backend) {
 			for _, k := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/cong=%v/nested=%v/shards=%d", bk, cong, nested, k), func(t *testing.T) {
 					ms := map[string]*Machine{}
-					for _, path := range []string{"value", "count", "wires"} {
+					for _, path := range []string{"value", "wires"} {
 						m := New()
 						m.SetBackend(bk)
 						m.SetShards(k)
@@ -231,32 +225,26 @@ func checkCountMatchesSend(t *testing.T, bk Backend) {
 						exchangeWorkload(m, path, nested)
 						ms[path] = m
 					}
-					if w, c := ms["wires"].Metrics(), ms["count"].Metrics(); w != c {
-						t.Fatalf("wires metrics %v != count metrics %v", w, c)
-					}
-					val := ms["value"]
+					val, m := ms["value"], ms["wires"]
 					want := val.Metrics()
 					want.PeakMemory = 0
-					for _, path := range []string{"count", "wires"} {
-						m := ms[path]
-						got := m.Metrics()
-						got.PeakMemory = 0
-						if got != want {
-							t.Fatalf("%s: metrics %v != value metrics %v", path, got, want)
-						}
-						if m.TouchedPEs() != val.TouchedPEs() {
-							t.Fatalf("%s: touched %d != %d", path, m.TouchedPEs(), val.TouchedPEs())
-						}
-						if m.MaxCongestion() != val.MaxCongestion() || (cong && !reflect.DeepEqual(m.cong.tiles, val.cong.tiles)) {
-							t.Fatalf("%s: link loads differ (peak %d vs %d)", path, m.MaxCongestion(), val.MaxCongestion())
-						}
-						for row := -3; row < 9; row++ {
-							for col := -5; col < 7; col++ {
-								c := Coord{row, col}
-								dv, xv := val.Clock(c)
-								if d, x := m.Clock(c); d != dv || x != xv {
-									t.Fatalf("%s: clock at %v: %d/%d, want %d/%d", path, c, d, x, dv, xv)
-								}
+					got := m.Metrics()
+					got.PeakMemory = 0
+					if got != want {
+						t.Fatalf("wires: metrics %v != value metrics %v", got, want)
+					}
+					if m.TouchedPEs() != val.TouchedPEs() {
+						t.Fatalf("wires: touched %d != %d", m.TouchedPEs(), val.TouchedPEs())
+					}
+					if m.MaxCongestion() != val.MaxCongestion() || (cong && !reflect.DeepEqual(linkLoads(m), linkLoads(val))) {
+						t.Fatalf("wires: link loads differ (peak %d vs %d)", m.MaxCongestion(), val.MaxCongestion())
+					}
+					for row := -3; row < 9; row++ {
+						for col := -5; col < 7; col++ {
+							c := Coord{row, col}
+							dv, xv := val.Clock(c)
+							if d, x := m.Clock(c); d != dv || x != xv {
+								t.Fatalf("wires: clock at %v: %d/%d, want %d/%d", c, d, x, dv, xv)
 							}
 						}
 					}
@@ -267,6 +255,13 @@ func checkCountMatchesSend(t *testing.T, bk Backend) {
 			}
 		}
 	}
+}
+
+// linkLoads collects the congestion tracker's nonzero link loads.
+func linkLoads(m *Machine) map[fabric.Coord][4]int64 {
+	loads := map[fabric.Coord][4]int64{}
+	m.cong.Each(func(c fabric.Coord, load [4]int64) { loads[c] = load })
+	return loads
 }
 
 func TestCountMatchesSend(t *testing.T) { checkCountMatchesSend(t, Ideal()) }

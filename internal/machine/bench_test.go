@@ -82,10 +82,22 @@ func BenchmarkMachinePar(b *testing.B) {
 // API: record k messages, then one charge pass and one delivery pass.
 // Steady-state rounds must not allocate (the machine owns one reusable
 // batch buffer).
-func BenchmarkMachineBatchRound(b *testing.B) {
+func BenchmarkMachineBatchRound(b *testing.B) { benchBatchRound(b, Ideal()) }
+
+// BenchmarkMachineBatchRoundFolded is BenchmarkMachineBatchRound on folded
+// fabrics, where every message's endpoints fold onto their physical homes
+// and every register write updates the physical occupancy counts.
+func BenchmarkMachineBatchRoundFolded(b *testing.B) {
+	for _, bk := range []Backend{Mesh(8, 8, 2), Torus(8, 8, 2)} {
+		b.Run(bk.String(), func(b *testing.B) { benchBatchRound(b, bk) })
+	}
+}
+
+func benchBatchRound(b *testing.B, bk Backend) {
 	for _, k := range []int{16, 256} {
 		b.Run(fmt.Sprintf("msgs=%d", k), func(b *testing.B) {
 			m := New()
+			m.SetBackend(bk)
 			vals := make([]Value, k)
 			for i := 0; i < k; i++ {
 				m.Set(Coord{0, i}, "v", float64(i))
@@ -97,27 +109,6 @@ func BenchmarkMachineBatchRound(b *testing.B) {
 				m.SendBatch(func(bt *Batch) {
 					for j := 0; j < k; j++ {
 						bt.Send(Coord{0, j}, Coord{1, j}, "v", vals[j])
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkMachineCountRound measures the counting-only round: charged like
-// a full round but with no payload and no register delivery — the fast path
-// data-oblivious algorithms take when CountingOnly reports true.
-func BenchmarkMachineCountRound(b *testing.B) {
-	for _, k := range []int{16, 256} {
-		b.Run(fmt.Sprintf("msgs=%d", k), func(b *testing.B) {
-			m := New()
-			m.SetBatchSends(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.SendBatch(func(bt *Batch) {
-					for j := 0; j < k; j++ {
-						bt.Count(Coord{0, j}, Coord{1, j})
 					}
 				})
 			}
@@ -263,8 +254,20 @@ func BenchmarkMachineSendTraced(b *testing.B) {
 
 // BenchmarkMachineCongestion measures XY-routed link accounting on a
 // diagonal walk (one bump per hop).
-func BenchmarkMachineCongestion(b *testing.B) {
+func BenchmarkMachineCongestion(b *testing.B) { benchCongestion(b, Ideal()) }
+
+// BenchmarkMachineCongestionFolded is BenchmarkMachineCongestion on folded
+// fabrics: both endpoints fold onto their homes, and the walk between them
+// is 30 hops on either fabric (the torus one wraps at the fabric edges).
+func BenchmarkMachineCongestionFolded(b *testing.B) {
+	for _, bk := range []Backend{Mesh(32, 32, 2), Torus(32, 32, 2)} {
+		b.Run(bk.String(), func(b *testing.B) { benchCongestion(b, bk) })
+	}
+}
+
+func benchCongestion(b *testing.B, bk Backend) {
 	m := New()
+	m.SetBackend(bk)
 	m.EnableCongestionTracking()
 	m.Set(Coord{0, 0}, "v", 1.0)
 	b.ReportAllocs()

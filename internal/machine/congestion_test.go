@@ -34,7 +34,10 @@ func TestCongestionOppositeDirectionsIndependent(t *testing.T) {
 	m.EnableCongestionTracking()
 	m.Set(Coord{0, 0}, "v", 1)
 	m.Set(Coord{0, 4}, "v", 2)
-	m.Exchange(Coord{0, 0}, Coord{0, 4}, "v")
+	m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
+		send(Coord{0, 0}, Coord{0, 4}, "v", 1)
+		send(Coord{0, 4}, Coord{0, 0}, "v", 2)
+	})
 	if got := m.MaxCongestion(); got != 1 {
 		t.Errorf("max congestion = %d, want 1 (opposite directions)", got)
 	}

@@ -167,36 +167,6 @@ func TestReceiveThenSendChains(t *testing.T) {
 	}
 }
 
-func TestExchange(t *testing.T) {
-	m := New()
-	a, b := Coord{0, 0}, Coord{0, 4}
-	m.Set(a, "x", "left")
-	m.Set(b, "x", "right")
-	m.Exchange(a, b, "x")
-	if m.Get(a, "x") != "right" || m.Get(b, "x") != "left" {
-		t.Error("exchange did not swap values")
-	}
-	got := m.Metrics()
-	if got.Energy != 8 || got.Messages != 2 {
-		t.Errorf("exchange cost %v, want energy 8 messages 2", got)
-	}
-	if got.Depth != 1 {
-		t.Errorf("exchange depth %d, want 1 (the two sends are independent)", got.Depth)
-	}
-}
-
-func TestMoveFreesSource(t *testing.T) {
-	m := New()
-	m.Set(Coord{0, 0}, "v", 9)
-	m.Move(Coord{0, 0}, "v", Coord{2, 0}, "v")
-	if m.Has(Coord{0, 0}, "v") {
-		t.Error("Move left source register live")
-	}
-	if m.Get(Coord{2, 0}, "v") != 9 {
-		t.Error("Move lost the value")
-	}
-}
-
 func TestGetEmptyPanics(t *testing.T) {
 	m := New()
 	defer func() {

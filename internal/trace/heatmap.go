@@ -3,31 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/fabric"
 )
-
-// LinkDir identifies the four outgoing directed mesh links of a PE.
-type LinkDir int
-
-const (
-	LinkEast LinkDir = iota
-	LinkWest
-	LinkSouth
-	LinkNorth
-)
-
-func (d LinkDir) String() string {
-	switch d {
-	case LinkEast:
-		return "east"
-	case LinkWest:
-		return "west"
-	case LinkSouth:
-		return "south"
-	case LinkNorth:
-		return "north"
-	}
-	return fmt.Sprintf("LinkDir(%d)", int(d))
-}
 
 // HeatCell aggregates the traffic of one PE.
 type HeatCell struct {
@@ -38,8 +16,8 @@ type HeatCell struct {
 	// endpoint.
 	SendTraffic, RecvTraffic int64
 	// Link counts traversals of the PE's four outgoing directed mesh
-	// links under dimension-ordered (X-then-Y) routing, indexed by
-	// LinkDir.
+	// links under dimension-ordered (X-then-Y) routing, in east, west,
+	// south, north order.
 	Link [4]int64
 }
 
@@ -50,22 +28,17 @@ func (c HeatCell) Traffic() int64 { return c.SendTraffic + c.RecvTraffic }
 // Heatmap aggregates per-PE message counts and per-link load over a run
 // (or over many runs — cells accumulate across machine Resets, which is
 // what a sweep-wide heatmap wants). Messages are routed hop by hop along
-// the dimension-ordered (X-then-Y) path a mesh NoC would use, the same
-// discipline as the machine's congestion tracker, so per-event cost is
-// O(distance). Not safe for concurrent use unless wrapped in Synchronized.
+// the dimension-ordered (X-then-Y) path a mesh NoC would use, with the
+// machine congestion tracker's own walk (fabric.Links), so per-event cost
+// is O(distance). Not safe for concurrent use unless wrapped in
+// Synchronized.
 type Heatmap struct {
-	cells   map[Coord]*HeatCell
-	maxLink int64
-	events  int64
-
-	// Fabric mapping (SetFabric): when fabW > 0, event endpoints fold onto
-	// a fabW×fabH physical fabric (fabBlock consecutive virtual cells per
-	// physical PE per axis, panes repeating periodically) and links are
-	// walked on the fabric — wrap-aware when fabTorus — so the heatmap
-	// shows load on physical links, mirroring the machine's finite
-	// backends.
-	fabW, fabH, fabBlock int
-	fabTorus             bool
+	cells  map[Coord]*HeatCell // send/receive counts; link loads are in links
+	links  fabric.Links
+	events int64
+	// fab is the physical fabric events fold onto (SetFabric); the zero
+	// value keeps virtual coordinates and walks the unbounded grid.
+	fab fabric.Fabric
 }
 
 // NewHeatmap returns an empty heatmap.
@@ -77,47 +50,16 @@ func NewHeatmap() *Heatmap {
 // given per-axis fold block before aggregating, and routes their links on
 // that fabric (with wraparound links when torus is true). Call it before
 // the first event; coordinates in the aggregated cells are then physical
-// fabric coordinates in [0,h)×[0,w). Matches the folding of the machine's
+// fabric coordinates in [0,h)×[0,w). It is the fold of the machine's
 // mesh/torus backends, so a heatmap fed by a machine running the same
-// backend shows the same per-link loads as its congestion tracker.
+// backend shows the same per-link loads as its congestion tracker. A
+// fabric that machine.Backend would reject panics.
 func (h *Heatmap) SetFabric(w, hgt, block int, torus bool) {
-	if w < 1 || hgt < 1 {
-		panic(fmt.Sprintf("trace: SetFabric with non-positive fabric %dx%d", w, hgt))
+	f := fabric.Fabric{W: w, H: hgt, Block: max(block, 1), Torus: torus}
+	if err := f.Check(); err != nil {
+		panic(fmt.Sprintf("trace: SetFabric %dx%d:%d: %v", w, hgt, block, err))
 	}
-	if block < 1 {
-		block = 1
-	}
-	// Mirror machine.Backend's pane-span cap: foldAxis computes size*block,
-	// which wraps for adversarial blocks and then divides by zero. Callers
-	// pass validated backends, so this is a programmer-error guard.
-	if block > maxFoldSpan/max(w, hgt) {
-		panic(fmt.Sprintf("trace: SetFabric fold block %d exceeds pane span cap %d", block, maxFoldSpan))
-	}
-	h.fabW, h.fabH, h.fabBlock, h.fabTorus = w, hgt, block, torus
-}
-
-// maxFoldSpan bounds size*block in foldAxis, matching
-// machine.Backend.validate's cap so validated backends always pass
-// SetFabric.
-const maxFoldSpan = 1 << 30
-
-// foldAxis maps a virtual axis coordinate onto its physical home: the pane
-// of size·block cells repeats periodically (Euclidean modulo handles
-// negative scratch coordinates), block consecutive cells per physical PE.
-func foldAxis(v, size, block int) int {
-	span := size * block
-	u := v % span
-	if u < 0 {
-		u += span
-	}
-	return u / block
-}
-
-func (h *Heatmap) fold(c Coord) Coord {
-	if h.fabW == 0 {
-		return c
-	}
-	return Coord{Row: foldAxis(c.Row, h.fabH, h.fabBlock), Col: foldAxis(c.Col, h.fabW, h.fabBlock)}
+	h.fab = f
 }
 
 func (h *Heatmap) cell(c Coord) *HeatCell {
@@ -132,76 +74,14 @@ func (h *Heatmap) cell(c Coord) *HeatCell {
 // Event accumulates one message.
 func (h *Heatmap) Event(e *Event) {
 	h.events++
-	from, to := h.fold(e.From), h.fold(e.To)
-	src := h.cell(from)
+	from, to := h.fab.Fold(fabric.Coord(e.From)), h.fab.Fold(fabric.Coord(e.To))
+	src := h.cell(Coord(from))
 	src.Sends++
 	src.SendTraffic += e.Dist
-	dst := h.cell(to)
+	dst := h.cell(Coord(to))
 	dst.Recvs++
 	dst.RecvTraffic += e.Dist
-
-	// XY walk: column-first, then row, bumping the outgoing link of every
-	// intermediate PE.
-	cur := from
-	bump := func(d LinkDir) {
-		l := &h.cell(cur).Link[d]
-		*l++
-		if *l > h.maxLink {
-			h.maxLink = *l
-		}
-	}
-	if h.fabTorus {
-		// Shorter way around each ring (east/south on a tie), wrapping at
-		// the fabric edges — the same discipline as the machine's torus
-		// congestion router.
-		east := (to.Col - cur.Col) % h.fabW
-		if east < 0 {
-			east += h.fabW
-		}
-		if east <= h.fabW-east {
-			for i := 0; i < east; i++ {
-				bump(LinkEast)
-				cur.Col = (cur.Col + 1) % h.fabW
-			}
-		} else {
-			for i := 0; i < h.fabW-east; i++ {
-				bump(LinkWest)
-				cur.Col = (cur.Col - 1 + h.fabW) % h.fabW
-			}
-		}
-		south := (to.Row - cur.Row) % h.fabH
-		if south < 0 {
-			south += h.fabH
-		}
-		if south <= h.fabH-south {
-			for i := 0; i < south; i++ {
-				bump(LinkSouth)
-				cur.Row = (cur.Row + 1) % h.fabH
-			}
-		} else {
-			for i := 0; i < h.fabH-south; i++ {
-				bump(LinkNorth)
-				cur.Row = (cur.Row - 1 + h.fabH) % h.fabH
-			}
-		}
-		return
-	}
-	for cur.Col < to.Col {
-		bump(LinkEast)
-		cur.Col++
-	}
-	for cur.Col > to.Col {
-		bump(LinkWest)
-		cur.Col--
-	}
-	for cur.Row < to.Row {
-		bump(LinkSouth)
-		cur.Row++
-	}
-	for cur.Row > to.Row {
-		bump(LinkNorth)
-		cur.Row--
-	}
+	h.links.Walk(h.fab, from, to)
 }
 
 // Close is a no-op; the aggregated cells stay available.
@@ -212,38 +92,34 @@ func (h *Heatmap) Events() int64 { return h.events }
 
 // MaxLinkLoad returns the highest traversal count over any directed link —
 // under XY routing this matches the machine's MaxCongestion.
-func (h *Heatmap) MaxLinkLoad() int64 { return h.maxLink }
+func (h *Heatmap) MaxLinkLoad() int64 { return h.links.Peak() }
 
 // Cell returns the aggregate for PE c (the zero cell if untouched).
 func (h *Heatmap) Cell(c Coord) HeatCell {
-	if hc := h.cells[c]; hc != nil {
-		return *hc
+	var hc HeatCell
+	if p := h.cells[c]; p != nil {
+		hc = *p
 	}
-	return HeatCell{}
+	hc.Link = h.links.Load(fabric.Coord(c))
+	return hc
 }
 
-// Bounds returns the bounding box of all touched cells; ok is false when
-// the heatmap is empty.
-func (h *Heatmap) Bounds() (min, max Coord, ok bool) {
-	for c := range h.cells {
+// Bounds returns the bounding box of all touched cells — PEs that sent,
+// received or forwarded a message; ok is false when the heatmap is empty.
+func (h *Heatmap) Bounds() (lo, hi Coord, ok bool) {
+	grow := func(c Coord) {
 		if !ok {
-			min, max, ok = c, c, true
-			continue
+			lo, hi, ok = c, c, true
+			return
 		}
-		if c.Row < min.Row {
-			min.Row = c.Row
-		}
-		if c.Row > max.Row {
-			max.Row = c.Row
-		}
-		if c.Col < min.Col {
-			min.Col = c.Col
-		}
-		if c.Col > max.Col {
-			max.Col = c.Col
-		}
+		lo.Row, hi.Row = min(lo.Row, c.Row), max(hi.Row, c.Row)
+		lo.Col, hi.Col = min(lo.Col, c.Col), max(hi.Col, c.Col)
 	}
-	return min, max, ok
+	for c := range h.cells {
+		grow(c)
+	}
+	h.links.Each(func(c fabric.Coord, _ [4]int64) { grow(Coord(c)) })
+	return lo, hi, ok
 }
 
 // Grid returns the aggregates as a dense row-major grid covering the
@@ -263,6 +139,9 @@ func (h *Heatmap) Grid() (origin Coord, cells [][]HeatCell) {
 	for c, hc := range h.cells {
 		cells[c.Row-min.Row][c.Col-min.Col] = *hc
 	}
+	h.links.Each(func(c fabric.Coord, load [4]int64) {
+		cells[c.Row-min.Row][c.Col-min.Col].Link = load
+	})
 	return min, cells
 }
 
@@ -281,7 +160,7 @@ func (h *Heatmap) WriteCSV(w io.Writer) error {
 			}
 			if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 				origin.Row+r, origin.Col+c, hc.Sends, hc.Recvs, hc.SendTraffic, hc.RecvTraffic,
-				hc.Link[LinkEast], hc.Link[LinkWest], hc.Link[LinkSouth], hc.Link[LinkNorth]); err != nil {
+				hc.Link[0], hc.Link[1], hc.Link[2], hc.Link[3]); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 // Single-element inputs are the smallest grid the model admits; every
@@ -191,19 +192,6 @@ func TestWithCongestionReportsMaxLinkLoad(t *testing.T) {
 	}
 }
 
-func TestWithTracerSeesEveryMessage(t *testing.T) {
-	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	var count int64
-	//lint:ignore SA1019 the deprecated adapter must keep working until removed
-	_, m := Sort(vals, WithTracer(func(from, to Coord, v any) { count++ }))
-	if count != m.Messages {
-		t.Errorf("tracer saw %d messages, metrics report %d", count, m.Messages)
-	}
-	if count == 0 {
-		t.Error("tracer saw no messages")
-	}
-}
-
 func TestWithMemoryLimitViolationIsError(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
 	heads := []bool{true, false, true, false}
@@ -257,8 +245,7 @@ func TestOptionsOnAggregateOps(t *testing.T) {
 	// Options thread through the composite facades (GNN, Tree) too.
 	tr := Tree{Parent: []int{0, 0, 1}}
 	var count int64
-	//lint:ignore SA1019 the deprecated adapter must keep working until removed
-	out, _, err := tr.RootfixSum([]float64{1, 1, 1}, WithTracer(func(from, to Coord, v any) { count++ }))
+	out, _, err := tr.RootfixSum([]float64{1, 1, 1}, WithTraceSink(trace.SinkFunc(func(*trace.Event) { count++ })))
 	if err != nil {
 		t.Fatal(err)
 	}

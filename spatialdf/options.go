@@ -23,14 +23,6 @@ type Event = trace.Event
 // all satisfy it.
 type TraceSink = trace.Sink
 
-// Tracer receives a callback for every message the simulated machine sends.
-// It is the legacy callback form of WithTraceSink: the callback sees only
-// the endpoints and the payload, not the cost annotations. It must not call
-// back into the facade.
-//
-// Deprecated: use a TraceSink with WithTraceSink instead.
-type Tracer func(from, to Coord, v any)
-
 // Option configures the simulated machine an operation runs on. Every
 // facade operation accepts options; options meaningless to an operation
 // (e.g. WithSeed on a deterministic scan) are ignored.
@@ -82,7 +74,7 @@ func (c config) validate() error {
 			return fmt.Errorf("spatialdf: WithBatchSends is incompatible with WithMemoryLimit (counting-only sends keep payloads host-side)")
 		}
 		if len(c.sinks) > 0 {
-			return fmt.Errorf("spatialdf: WithBatchSends is incompatible with WithTraceSink/WithTracer (counting-only sends carry no payload to trace)")
+			return fmt.Errorf("spatialdf: WithBatchSends is incompatible with WithTraceSink (counting-only sends carry no payload to trace)")
 		}
 	}
 	return nil
@@ -130,8 +122,8 @@ func WithShards(k int) Option {
 // Messages are unchanged; PeakMemory reflects only the registers actually
 // materialized, and Metrics.CriticalPath is unavailable (the implicit
 // critical-path recorder is a trace sink, which the fast path forgoes).
-// Combining it with WithTraceSink, WithTracer or WithMemoryLimit is an
-// error, reported per the Option contract.
+// Combining it with WithTraceSink or WithMemoryLimit is an error, reported
+// per the Option contract.
 func WithBatchSends() Option {
 	return func(c *config) { c.batchSends = true }
 }
@@ -147,22 +139,6 @@ func WithTraceSink(s TraceSink) Option {
 			c.sinks = append(c.sinks, s)
 		}
 	}
-}
-
-// WithTracer installs a callback invoked for every message sent. It is a
-// thin adapter over WithTraceSink for callers that only want endpoints and
-// payloads.
-//
-// Deprecated: use WithTraceSink, whose events also carry the distance,
-// chain-depth and energy annotations the cost model is about. WithTracer
-// remains as a compatibility veneer and will not grow new capabilities.
-func WithTracer(t Tracer) Option {
-	if t == nil {
-		return func(*config) {}
-	}
-	return WithTraceSink(trace.SinkFunc(func(e *trace.Event) {
-		t(e.From, e.To, e.Value)
-	}))
 }
 
 // WithBackend runs the operation on a finite hardware backend instead of

@@ -126,12 +126,6 @@ func TestInvalidOptionCombinations(t *testing.T) {
 			Sort(vals, tc.opts...)
 		}()
 	}
-	// The deprecated adapter participates in validation like WithTraceSink.
-	//lint:ignore SA1019 the deprecated adapter must keep validating until removed
-	_, _, err := Select(vals, 1, WithBatchSends(), WithTracer(func(from, to Coord, v any) {}))
-	if err == nil || !strings.Contains(err.Error(), "WithBatchSends is incompatible") {
-		t.Errorf("WithBatchSends+WithTracer: err = %v", err)
-	}
 }
 
 func optionErrString(r any) string {

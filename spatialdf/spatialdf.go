@@ -15,9 +15,8 @@
 // machine: WithMemoryLimit (certify the O(1)-memory contract),
 // WithCongestion (per-link load tracking, reported as Metrics.MaxLinkLoad),
 // WithTraceSink (structured per-message events for the sinks in the trace
-// package — heatmaps, phase counters, Chrome trace_event export),
-// WithTracer (the legacy endpoint/payload callback) and WithSeed
-// (randomized operations). Operations validate their inputs and return
+// package — heatmaps, phase counters, Chrome trace_event export) and
+// WithSeed (randomized operations). Operations validate their inputs and return
 // errors — they do not panic on user data.
 //
 // Every operation also records its own event stream, so the returned
