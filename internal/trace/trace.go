@@ -16,9 +16,9 @@
 //   - ChromeSink streams trace_event JSON loadable in chrome://tracing and
 //     Perfetto, one track per grid row, phases as nested scopes.
 //
-// The package is deliberately dependency-free so that internal/machine,
-// spatialdf and the cmd/ tools can all import it without reaching into one
-// another.
+// The package depends only on the standard library and the internal/fabric
+// leaf, so that internal/machine, spatialdf and the cmd/ tools can all
+// import it without reaching into one another.
 package trace
 
 import "sync"

@@ -269,7 +269,7 @@ func TestHeatmapFabricMatchesBackendCongestion(t *testing.T) {
 }
 
 // TestHeatmapSetFabricOverflowPanics: a fold block large enough to wrap
-// size*block in foldAxis must be refused up front (programmer-error panic)
+// size*block in the fold must be refused up front (programmer-error panic)
 // instead of dividing by zero on the first event.
 func TestHeatmapSetFabricOverflowPanics(t *testing.T) {
 	defer func() {
