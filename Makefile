@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check contracts bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
+.PHONY: check fmt contracts bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
 
-# check is the full gate: build, vet, staticcheck, the race-enabled test
-# suite, the determinism contract suites the race build skips, the
-# trace-artifact smoke test, the spatiald daemon smoke test, the quick
-# conformance run and its byte-for-byte verdict check.
+# check is the full gate: build, formatting, vet, staticcheck, the
+# race-enabled test suite, the determinism contract suites the race build
+# skips, the trace-artifact smoke test, the spatiald daemon smoke test, the
+# quick conformance run and its byte-for-byte verdict check.
 check:
 	$(GO) build ./...
+	$(MAKE) fmt
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -race ./...
@@ -22,6 +23,12 @@ check:
 
 test:
 	$(GO) test ./...
+
+# fmt fails, listing the files, when any Go file in the tree is not
+# gofmt-formatted; `gofmt -w <file>` fixes one.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
 
 # contracts runs the determinism contract suites, which skip themselves
 # under -race (the race detector makes their sweeps ~10x slower) and so
@@ -94,23 +101,27 @@ experiments-refresh:
 # (whose ns/op ratio records the single-measurement speedup of the batched
 # send API) — plus the warm result-cache benchmark (its hit_rate metric
 # tells bench-compare the timing measured cache lookups, not simulation)
-# and rewrites BENCH_machine.json. The recorded seed_baseline object (the
-# pre-optimization numbers) is preserved across rewrites.
+# and rewrites BENCH_machine.json. The machine micro-benchmarks run five
+# times and benchjson records each metric's median, so one sample taken in
+# a slow or fast phase of a noisy host does not become the baseline. The
+# recorded seed_baseline object (the pre-optimization numbers) is
+# preserved across rewrites.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMachine' -benchmem ./internal/machine/; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkMachine' -benchmem -count 5 ./internal/machine/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCacheHit' -benchmem ./internal/harness/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTable1Sort|BenchmarkMeshSortPoint' -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_machine.json
 	@echo wrote BENCH_machine.json
 
 # bench-compare is the perf regression gate: rerun the machine-core
-# micro-benchmarks and fail if any ns/op regresses more than 20% against
-# the committed BENCH_machine.json. Noisy shared machines may need a wider
-# tolerance: make bench-compare TOL=0.35. Run it alongside `make check`
-# before committing machine/harness changes; rebaseline with `make bench`.
+# micro-benchmarks five times and fail if any median ns/op regresses more
+# than 20% against the committed BENCH_machine.json (itself a median of
+# five). Noisy shared machines may need a wider tolerance: make
+# bench-compare TOL=0.35. Run it alongside `make check` before committing
+# machine/harness changes; rebaseline with `make bench`.
 TOL ?= 0.20
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkMachine' -benchmem ./internal/machine/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkMachine' -benchmem -count 5 ./internal/machine/ \
 	| $(GO) run ./cmd/benchjson -compare BENCH_machine.json -tol $(TOL) -match BenchmarkMachine
 
 # spatiald-smoke boots the daemon on a random port, submits the same

@@ -126,10 +126,11 @@ func BenchmarkTable1SpMV(b *testing.B) {
 }
 
 // BenchmarkMeshSortPoint measures one full-mode sort-sweep measurement — a
-// 65536-element Shearsort point — through the machine's two send APIs:
-// "value" carries register payloads through per-level batched rounds,
-// "counting" takes the counting-only fast path a sink-free batched machine
-// allows (payloads host-side, identical Energy/Depth/Distance/Messages).
+// 65536-element Shearsort point — along the machine's two send paths:
+// "value" carries register payloads through per-level Par rounds,
+// "counting" takes the counting-only fast path SetBatchSends admits on a
+// sink-free machine (payloads host-side, identical
+// Energy/Depth/Distance/Messages).
 // The ratio of the two recorded ns/op is the single-measurement speedup of
 // the batched-send redesign; `make bench` records both in
 // BENCH_machine.json so bench-compare tracks them.

@@ -2,7 +2,10 @@
 // stdin) into a JSON document of per-benchmark numbers, so benchmark runs
 // can be committed and diffed. Units become keys: "ns/op" -> "ns_per_op",
 // "allocs/op" -> "allocs_per_op", and the repository's custom model-cost
-// metrics ("energy/op", ...) come along for free.
+// metrics ("energy/op", ...) come along for free. A benchmark run several
+// times (go test -count N) is folded into one entry holding each metric's
+// median over the runs, so a single sample taken in a slow or fast phase
+// of a noisy host cannot decide a comparison on its own.
 //
 // With -o FILE the document is written to FILE; if FILE already exists its
 // top-level "seed_baseline" object is preserved, so regenerated results
@@ -26,8 +29,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./internal/machine/ | go run ./cmd/benchjson -o BENCH_machine.json
-//	go test -run '^$' -bench . -benchmem ./internal/machine/ | go run ./cmd/benchjson -compare BENCH_machine.json -tol 0.20
+//	go test -run '^$' -bench . -benchmem -count 5 ./internal/machine/ | go run ./cmd/benchjson -o BENCH_machine.json
+//	go test -run '^$' -bench . -benchmem -count 5 ./internal/machine/ | go run ./cmd/benchjson -compare BENCH_machine.json -tol 0.20
 package main
 
 import (
@@ -42,8 +45,10 @@ import (
 	"strings"
 )
 
+// parse reads benchmark result lines and returns each benchmark's metrics,
+// every metric the median of that benchmark's samples.
 func parse(r *bufio.Scanner) map[string]map[string]float64 {
-	benches := make(map[string]map[string]float64)
+	samples := make(map[string]map[string][]float64)
 	for r.Scan() {
 		fields := strings.Fields(r.Text())
 		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -57,17 +62,41 @@ func parse(r *bufio.Scanner) map[string]map[string]float64 {
 		if err != nil {
 			continue
 		}
-		res := map[string]float64{"iterations": iters}
+		s := samples[name]
+		if s == nil {
+			s = make(map[string][]float64)
+			samples[name] = s
+		}
+		s["iterations"] = append(s["iterations"], iters)
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
-			res[strings.ReplaceAll(fields[i+1], "/", "_per_")] = v
+			unit := strings.ReplaceAll(fields[i+1], "/", "_per_")
+			s[unit] = append(s[unit], v)
+		}
+	}
+	benches := make(map[string]map[string]float64, len(samples))
+	for name, s := range samples {
+		res := make(map[string]float64, len(s))
+		for unit, vs := range s {
+			res[unit] = median(vs)
 		}
 		benches[name] = res
 	}
 	return benches
+}
+
+// median returns the middle of vs, or the mean of its two middle values
+// when their number is even. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // compareBenches reports current-vs-baseline ns_per_op and allocs_per_op

@@ -34,6 +34,38 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatsToMedian: the samples of a benchmark run with
+// go test -count fold into one entry holding each metric's median.
+func TestParseFoldsRepeatsToMedian(t *testing.T) {
+	const repeated = `BenchmarkMachinePar/msgs=16-2   	  100	  900 ns/op	  0 allocs/op
+BenchmarkMachinePar/msgs=16-2   	  300	  500 ns/op	  2 allocs/op
+BenchmarkMachinePar/msgs=16-2   	  200	 4000 ns/op	  0 allocs/op
+BenchmarkMachineWires-2         	   10	   70 ns/op
+BenchmarkMachineWires-2         	   30	   50 ns/op
+BenchmarkMachineSendChain-2     	    7	   33 ns/op
+`
+	benches := parse(bufio.NewScanner(strings.NewReader(repeated)))
+	if len(benches) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3: %v", len(benches), benches)
+	}
+	for name, want := range map[string]map[string]float64{
+		"BenchmarkMachinePar/msgs=16": {"iterations": 200, "ns_per_op": 900, "allocs_per_op": 0},
+		"BenchmarkMachineWires":       {"iterations": 20, "ns_per_op": 60}, // even count: mean of the middle two
+		"BenchmarkMachineSendChain":   {"iterations": 7, "ns_per_op": 33},
+	} {
+		got := benches[name]
+		if len(got) != len(want) {
+			t.Errorf("%s = %v, want %v", name, got, want)
+			continue
+		}
+		for unit, v := range want {
+			if got[unit] != v {
+				t.Errorf("%s %s = %g, want the median %g", name, unit, got[unit], v)
+			}
+		}
+	}
+}
+
 func bench(ns float64) map[string]float64 { return map[string]float64{"ns_per_op": ns} }
 
 func TestCompareBenches(t *testing.T) {

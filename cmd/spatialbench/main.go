@@ -6,8 +6,9 @@
 // Every experiment is decomposed into independent measurement points and
 // executed through internal/harness on a pool of recycled machines, so
 // sweeps use all cores by default. Within each machine, -shards splits
-// every parallel round across worker goroutines and -batch drives the
-// machines through the batched send API (both on by default). Output is
+// the delivery of large parallel rounds across worker goroutines and
+// -batch admits the counting-only fast path for the sorting networks
+// (both on by default). Output is
 // byte-identical for any -parallel/-shards/-batch combination at a fixed
 // -seed; the knobs exist so regressions and speedups can be attributed.
 //

@@ -33,7 +33,7 @@ func AddPool(fs *flag.FlagSet) *Pool {
 	p := &Pool{}
 	fs.IntVar(&p.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep points")
 	fs.IntVar(&p.Shards, "shards", runtime.GOMAXPROCS(0), "intra-simulation shards per machine (1 = sequential rounds; output is identical for any value)")
-	fs.BoolVar(&p.Batch, "batch", true, "drive machines through the batched send API (counting-only fast path for data-oblivious sweeps; output is identical)")
+	fs.BoolVar(&p.Batch, "batch", true, "admit the counting-only fast path for data-oblivious sweeps (sorting networks with no trace sink or memory limit; output is identical)")
 	return p
 }
 

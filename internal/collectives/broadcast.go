@@ -81,16 +81,16 @@ func Broadcast(m *machine.Machine, r grid.Rect, reg machine.Reg) {
 // halves. Energy recurrence E(w) = 3w/2 + O(1) + 4E(w/2+1) = O(w^2).
 //
 // The up-to-three corner sends of one recursion level are mutually
-// independent, so they go out as one batched round (metrics and trace
-// stream are identical to issuing them as singleton Sends — sends never
-// advance the sender's clock — but the round is eligible for sharding).
+// independent, so they go out as one Par round (metrics and trace stream
+// are identical to issuing them as singleton Sends — sends never advance
+// the sender's clock).
 func broadcast2D(m *machine.Machine, r grid.Rect, reg machine.Reg) {
 	quads, k := halfQuadrants(r)
 	v := m.Get(r.Origin, reg)
-	m.SendBatch(func(b *machine.Batch) {
+	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
 		for _, q := range quads[:k] {
 			if q.Origin != r.Origin {
-				b.Send(r.Origin, q.Origin, reg, v)
+				send(r.Origin, q.Origin, reg, v)
 			}
 		}
 	})

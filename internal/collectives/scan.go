@@ -74,12 +74,12 @@ func upsweep(m *machine.Machine, sub grid.Rect, k int, reg machine.Reg, op Op) {
 		upsweep(m, q[i], k-1, reg, op)
 	}
 	p := scanHolder(sub, k)
-	// The four child-root sums travel to p as one batched round: the sends
+	// The four child-root sums travel to p as one Par round: the sends
 	// originate at four distinct PEs and none depends on another, so the
-	// round is equivalent to four singleton Moves (and shard-eligible).
-	m.SendBatch(func(b *machine.Batch) {
+	// round is equivalent to four singleton sends.
+	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
 		for i := 0; i < 4; i++ {
-			b.Send(scanHolder(q[i], k-1), p, childReg(k, i), m.Get(scanHolder(q[i], k-1), sumReg(k-1)))
+			send(scanHolder(q[i], k-1), p, childReg(k, i), m.Get(scanHolder(q[i], k-1), sumReg(k-1)))
 		}
 	})
 	for i := 0; i < 4; i++ {
@@ -107,8 +107,8 @@ func downsweep(m *machine.Machine, sub grid.Rect, k int, reg machine.Reg, op Op)
 	m.Del(p, sumReg(k))
 	q := sub.Quadrants()
 	// The four prefix pushes all originate at p and are mutually
-	// independent, so they form one batched round; the exclusive prefixes
-	// are accumulated host-side first, exactly as the singleton sends did.
+	// independent, so they form one Par round; the exclusive prefixes are
+	// accumulated host-side first, exactly as the singleton sends did.
 	var xs [4]machine.Value
 	for i := 0; i < 4; i++ {
 		xs[i] = x
@@ -117,9 +117,9 @@ func downsweep(m *machine.Machine, sub grid.Rect, k int, reg machine.Reg, op Op)
 		}
 		m.Del(p, childReg(k, i))
 	}
-	m.SendBatch(func(b *machine.Batch) {
+	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
 		for i := 0; i < 4; i++ {
-			b.Send(p, scanHolder(q[i], k-1), downReg(k-1), xs[i])
+			send(p, scanHolder(q[i], k-1), downReg(k-1), xs[i])
 		}
 	})
 	for i := 0; i < 4; i++ {

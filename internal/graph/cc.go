@@ -12,13 +12,13 @@ import (
 
 // CC register names.
 const (
-	regEdge  = "graph.edge" // directed-edge record on the edge grid
-	regPrev  = "graph.prev" // predecessor key during leader election
-	regBV    = "graph.bv"   // scan value (fetched label / segment minimum)
-	regNext  = "graph.next" // successor's head flag (end-of-segment detection)
-	regLab   = "graph.lab"  // current label, kept on each vertex cell
-	regCand  = "graph.cand" // per-vertex hook candidate delivery
-	regPair  = "graph.pair" // (label, candidate) pair on the vertex grid
+	regEdge  = "graph.edge"  // directed-edge record on the edge grid
+	regPrev  = "graph.prev"  // predecessor key during leader election
+	regBV    = "graph.bv"    // scan value (fetched label / segment minimum)
+	regNext  = "graph.next"  // successor's head flag (end-of-segment detection)
+	regLab   = "graph.lab"   // current label, kept on each vertex cell
+	regCand  = "graph.cand"  // per-vertex hook candidate delivery
+	regPair  = "graph.pair"  // (label, candidate) pair on the vertex grid
 	regRCand = "graph.rcand" // per-representative minimum candidate delivery
 )
 

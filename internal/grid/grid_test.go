@@ -29,11 +29,11 @@ func TestRectBasics(t *testing.T) {
 func TestRectEmpty(t *testing.T) {
 	// Regression: Diameter() of an empty rect used to return −2.
 	cases := []Rect{
-		{},                         // H=0, W=0
-		{H: 0, W: 5},               // empty row band
-		{H: 3, W: 0},               // empty column band
-		{H: 1, W: 1},               // single PE: degenerate but non-empty
-		{H: -1, W: 4},              // negative extents are empty too
+		{},            // H=0, W=0
+		{H: 0, W: 5},  // empty row band
+		{H: 3, W: 0},  // empty column band
+		{H: 1, W: 1},  // single PE: degenerate but non-empty
+		{H: -1, W: 4}, // negative extents are empty too
 		{Origin: machine.Coord{Row: 7, Col: -3}, H: 0, W: 0},
 	}
 	for _, r := range cases {

@@ -269,11 +269,12 @@ func WithBackend(b machine.Backend) Option {
 	return func(r *Runner) { r.backend = b }
 }
 
-// WithBatchSends marks leased machines as driven through the batched send
-// API, enabling the counting-only fast path for data-oblivious algorithms
-// (see machine.CountingOnly). The fast path is automatically disabled on
-// machines that get a trace sink (WithSink, WithCriticalPathCheck), so
-// traced runs keep full register traffic.
+// WithBatchSends admits the counting-only fast path on leased machines
+// (machine.SetBatchSends): data-oblivious algorithms — the sorting
+// networks — charge their rounds on a counting kernel and keep payloads
+// host-side (see machine.CountingOnly). The path stays off on machines
+// that get a trace sink (WithSink, WithCriticalPathCheck) or a memory
+// limit, so traced runs keep full register traffic.
 func WithBatchSends() Option {
 	return func(r *Runner) { r.batchSends = true }
 }

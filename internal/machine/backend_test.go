@@ -308,9 +308,9 @@ func TestBackendRegisterRoundsForcedSequential(t *testing.T) {
 		m.SetBackend(Mesh(2, 2, 4))
 		m.SetShards(shards)
 		m.shardMin = 1
-		m.SendBatch(func(b *Batch) {
+		m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 			for i := 0; i < 64; i++ {
-				b.Send(Coord{8, 8}, Coord{i / 8, i % 8}, "v", i)
+				send(Coord{8, 8}, Coord{i / 8, i % 8}, "v", i)
 			}
 		})
 		return m.Metrics()
@@ -330,7 +330,7 @@ func TestBackendRegisterRoundsForcedSequential(t *testing.T) {
 // TestShardedFoldedMatchesSequential extends the byte-identical sharding
 // contract to finite backends: the same workload folded onto a mesh or
 // torus must yield identical metrics, clocks and registers for any shard
-// count. Folding charges costs in the sequential charge pass, so shard
+// count. Folding charges costs as messages are issued, so shard
 // parallelism must never observe it; run with -race this also covers the
 // occupancy counters the fold maintains per physical PE.
 func TestShardedFoldedMatchesSequential(t *testing.T) {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/trace"
 )
 
-// batchWorkload drives m through a deterministic mix of batched rounds,
-// Par rounds, singleton sends, self-sends, register collisions and nested
-// Independent forks — every code path the sharded executor must reproduce
-// byte-identically. All sends go through Par/SendBatch so the same workload
-// runs on sequential and sharded machines alike.
+// batchWorkload drives m through a deterministic mix of Par rounds,
+// singleton sends, self-sends, register collisions and nested Independent
+// forks — every code path the sharded executor must reproduce
+// byte-identically. The same workload runs on sequential and sharded
+// machines alike.
 func batchWorkload(m *Machine, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	const side = 40
@@ -25,11 +25,11 @@ func batchWorkload(m *Machine, seed int64) {
 	}
 	// A few big rounds with collisions and self-sends.
 	for r := 0; r < 4; r++ {
-		m.SendBatch(func(b *Batch) {
+		m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 			for j := 0; j < 3000; j++ {
 				from := at(rng.Intn(side * side))
 				to := at(rng.Intn(side * side))
-				b.Send(from, to, "v", float64(j))
+				send(from, to, "v", float64(j))
 			}
 		})
 	}
@@ -49,9 +49,9 @@ func batchWorkload(m *Machine, seed int64) {
 		func() {
 			m.Independent(
 				func() {
-					m.SendBatch(func(b *Batch) {
+					m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 						for j := 0; j < 2500; j++ {
-							b.Send(at(700+j%200), at(700+(j*7)%200), "b", float64(j))
+							send(at(700+j%200), at(700+(j*7)%200), "b", float64(j))
 						}
 					})
 				},
@@ -127,8 +127,9 @@ func TestShardedSurvivesReset(t *testing.T) {
 	}
 }
 
-// TestShardedEventStream: with a sink attached the charge pass stays
-// sequential, so the event stream must be identical for every shard count.
+// TestShardedEventStream: messages are charged, and their events emitted,
+// as they are issued, so the event stream must be identical for every
+// shard count.
 func TestShardedEventStream(t *testing.T) {
 	record := func(k int) []trace.Event {
 		var events []trace.Event
@@ -180,10 +181,10 @@ func exchangeWorkload(m *Machine, path string, nested bool) {
 					w.Exchange(pairs[k], pairs[k+1])
 				}
 			case "value":
-				m.SendBatch(func(b *Batch) {
+				m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 					for k := 0; k < len(pairs); k += 2 {
-						b.Send(cs[pairs[k]], cs[pairs[k+1]], "in", float64(k))
-						b.Send(cs[pairs[k+1]], cs[pairs[k]], "in", float64(k))
+						send(cs[pairs[k]], cs[pairs[k+1]], "in", float64(k))
+						send(cs[pairs[k+1]], cs[pairs[k]], "in", float64(k))
 					}
 				})
 				for _, p := range pairs {
@@ -286,9 +287,9 @@ func TestShardedMemoryLimit(t *testing.T) {
 		m := NewWithMemoryLimit(2)
 		m.SetShards(shards)
 		m.shardMin = 1
-		m.SendBatch(func(b *Batch) {
+		m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 			for i := 0; i < 100; i++ {
-				b.Send(Coord{1, 0}, Coord{0, i % 10}, Reg(fmt.Sprintf("r%d", i)), i)
+				send(Coord{1, 0}, Coord{0, i % 10}, Reg(fmt.Sprintf("r%d", i)), i)
 			}
 		})
 		return
@@ -304,7 +305,7 @@ func TestShardedMemoryLimit(t *testing.T) {
 	}
 }
 
-// TestRoundMisuse covers the batch API's and the Wires kernel's contract
+// TestRoundMisuse covers the round API's and the Wires kernel's contract
 // panics.
 func TestRoundMisuse(t *testing.T) {
 	expectPanic := func(name string, f func()) {
@@ -316,20 +317,16 @@ func TestRoundMisuse(t *testing.T) {
 		f()
 	}
 	m := New()
-	expectPanic("nested Round", func() {
-		m.Round()
-		defer func() { m.batch.open = false }()
-		m.Round()
+	expectPanic("nested Par", func() {
+		m.Par(func(func(from, to Coord, dstReg Reg, v Value)) {
+			m.Par(func(func(from, to Coord, dstReg Reg, v Value)) {})
+		})
 	})
-	expectPanic("Send after Flush", func() {
-		b := m.Round()
-		b.Flush()
-		b.Send(Coord{0, 0}, Coord{0, 1}, "v", 1)
-	})
-	expectPanic("double Flush", func() {
-		b := m.Round()
-		b.Flush()
-		b.Flush()
+	m.Reset()
+	var leaked func(from, to Coord, dstReg Reg, v Value)
+	m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) { leaked = send })
+	expectPanic("send after its round", func() {
+		leaked(Coord{0, 0}, Coord{0, 1}, "v", 1)
 	})
 	expectPanic("PE bound to two wires", func() {
 		m.BindWires([]Coord{{0, 0}, {0, 1}, {0, 0}})

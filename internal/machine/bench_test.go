@@ -54,65 +54,37 @@ func BenchmarkMachineSetGet(b *testing.B) {
 	}
 }
 
-// BenchmarkMachinePar measures a parallel round of k messages: steady-state
-// rounds must not allocate (reused pending buffer, per-PE snapshots).
+// BenchmarkMachinePar measures a Par round of k messages on the ideal grid
+// and on folded fabrics, where every message's endpoints fold onto their
+// physical homes and every register write updates the physical occupancy
+// counts. Steady-state rounds must not allocate: the machine owns one
+// reusable round buffer and one bound send function.
 func BenchmarkMachinePar(b *testing.B) {
-	for _, k := range []int{16, 256} {
-		b.Run(fmt.Sprintf("msgs=%d", k), func(b *testing.B) {
-			m := New()
-			vals := make([]Value, k) // pre-boxed so the bench measures the machine, not interface conversion
-			for i := 0; i < k; i++ {
-				m.Set(Coord{0, i}, "v", float64(i))
-				vals[i] = float64(i)
+	for _, bk := range []Backend{Ideal(), Mesh(8, 8, 2), Torus(8, 8, 2)} {
+		for _, k := range []int{16, 256} {
+			name := fmt.Sprintf("msgs=%d", k)
+			if bk.Finite() {
+				name = bk.String() + "/" + name
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
-					for j := 0; j < k; j++ {
-						send(Coord{0, j}, Coord{1, j}, "v", vals[j])
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkMachineBatchRound measures a recorded round through the batch
-// API: record k messages, then one charge pass and one delivery pass.
-// Steady-state rounds must not allocate (the machine owns one reusable
-// batch buffer).
-func BenchmarkMachineBatchRound(b *testing.B) { benchBatchRound(b, Ideal()) }
-
-// BenchmarkMachineBatchRoundFolded is BenchmarkMachineBatchRound on folded
-// fabrics, where every message's endpoints fold onto their physical homes
-// and every register write updates the physical occupancy counts.
-func BenchmarkMachineBatchRoundFolded(b *testing.B) {
-	for _, bk := range []Backend{Mesh(8, 8, 2), Torus(8, 8, 2)} {
-		b.Run(bk.String(), func(b *testing.B) { benchBatchRound(b, bk) })
-	}
-}
-
-func benchBatchRound(b *testing.B, bk Backend) {
-	for _, k := range []int{16, 256} {
-		b.Run(fmt.Sprintf("msgs=%d", k), func(b *testing.B) {
-			m := New()
-			m.SetBackend(bk)
-			vals := make([]Value, k)
-			for i := 0; i < k; i++ {
-				m.Set(Coord{0, i}, "v", float64(i))
-				vals[i] = float64(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.SendBatch(func(bt *Batch) {
-					for j := 0; j < k; j++ {
-						bt.Send(Coord{0, j}, Coord{1, j}, "v", vals[j])
-					}
-				})
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				m := New()
+				m.SetBackend(bk)
+				vals := make([]Value, k) // pre-boxed so the bench measures the machine, not interface conversion
+				for i := 0; i < k; i++ {
+					m.Set(Coord{0, i}, "v", float64(i))
+					vals[i] = float64(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
+						for j := 0; j < k; j++ {
+							send(Coord{0, j}, Coord{1, j}, "v", vals[j])
+						}
+					})
+				}
+			})
+		}
 	}
 }
 
@@ -146,10 +118,10 @@ func BenchmarkMachineWires(b *testing.B) {
 	w.Close()
 }
 
-// BenchmarkMachineShardedRound measures one large batched round executed
-// across shards (fork, chunked charge, per-shard delivery, join). The shard
-// count is reported as a metric so bench-compare can refuse to diff runs
-// taken at different parallelism.
+// BenchmarkMachineShardedRound measures one large Par round delivered
+// across shards (charge at issue, grouping, per-shard delivery, join). The
+// shard count is reported as a metric so bench-compare can refuse to diff
+// runs taken at different parallelism.
 func BenchmarkMachineShardedRound(b *testing.B) {
 	const k = 4096 // >= defaultShardMin, so the sharded path actually runs
 	const shards = 4
@@ -163,9 +135,9 @@ func BenchmarkMachineShardedRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SendBatch(func(bt *Batch) {
+		m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 			for j := 0; j < k; j++ {
-				bt.Send(Coord{0, j}, Coord{1, j}, "v", vals[j])
+				send(Coord{0, j}, Coord{1, j}, "v", vals[j])
 			}
 		})
 	}

@@ -37,16 +37,15 @@
 //
 // # Send paths
 //
-// Every send entry point drives one per-message kernel: charge accounts a
-// message against its sender's clock and mutates no clock, deliver applies
-// it at the receiver. SendValue runs both at once; Par charges each message
-// as it is issued, against a start-of-round snapshot of the sender's clock,
-// and delivers the round when its callback returns; Round/Flush charges a
-// recorded round in one pass and delivers it in a second, which shard.go
-// splits across shards (shard-local counters use the same chargeAccum.add).
-// Wires, the sorting networks' counting kernel, is the one specialized
-// path. The geometry of finite fabrics (the fold and the link walk) lives
-// in package fabric, which the trace heatmap shares.
+// Every send drives one per-message kernel: charge accounts a message
+// against its sender's clock and mutates no clock, deliver applies it at
+// the receiver. SendValue runs both at once. Par, the only round API,
+// charges each message as it is issued and delivers the round when its
+// callback returns, in issue order or, for large rounds on a sharded
+// machine, split by destination tile across shards (shard.go). Wires, the
+// sorting networks' counting kernel, is the one specialized path. The
+// geometry of finite fabrics (the fold and the link walk) lives in package
+// fabric, which the trace heatmap shares.
 package machine
 
 import (
@@ -138,12 +137,9 @@ type pe struct {
 	// message; tiles allocate 256 PEs at a time, so membership cannot be
 	// inferred from allocation.
 	touched bool
-	// snapClk/snapSeen implement Par's start-of-round clock snapshot
-	// without a per-round map: a snapshot is valid iff snapSeen equals the
-	// machine's current round stamp. BindWires stamps snapSeen too, to find
-	// a PE bound to two wires.
-	snapClk  clock
-	snapSeen uint64
+	// wireSeen is the stamp of the last BindWires that bound this PE, which
+	// finds a PE bound to two wires of one kernel.
+	wireSeen uint64
 	// indepSeen is the generation of the innermost active Independent
 	// branch that has journaled this PE. Branch generations increase
 	// monotonically down the stack, so the branches that have NOT seen the
@@ -293,23 +289,21 @@ type Machine struct {
 	journalPool [][]indepEntry
 	logPool     []map[Coord]clock
 
-	// pendingBuf is Par's reusable delivery buffer; parRound stamps the
-	// per-PE clock snapshots of the current round.
-	pendingBuf []bmsg
-	parRound   uint64
+	// round is Par's reusable buffer of charged, undelivered messages;
+	// parOpen is set while a Par callback runs. parSend is the bound issue
+	// method Par hands its callback, allocated once so Par stays
+	// allocation-free. wireStamp numbers BindWires calls (see pe.wireSeen).
+	round     []roundMsg
+	parOpen   bool
+	parSend   func(from, to Coord, dstReg Reg, v Value)
+	wireStamp uint64
 
-	// batch is the machine's reusable batched round (see batch.go); parSend
-	// is the bound Batch.Send method value Par forwards to when rounds run
-	// sharded, allocated once so Par stays allocation-free.
-	batch   Batch
-	parSend func(from, to Coord, dstReg Reg, v Value)
-	// batchSends marks the machine as driven through the batch API, enabling
-	// the counting-only fast path (see CountingOnly).
+	// batchSends admits the counting-only fast path (see CountingOnly).
 	batchSends bool
 
-	// shards partitions batched rounds of at least shardMin messages across
-	// that many goroutines (see shard.go); sh holds the executor's reusable
-	// buffers. Both settings survive Reset.
+	// shards partitions the delivery of Par rounds of at least shardMin
+	// messages across that many goroutines (see shard.go); sh holds the
+	// executor's reusable buffers. Both settings survive Reset.
 	shards   int
 	shardMin int
 	sh       shardScratch
@@ -341,8 +335,7 @@ func New() *Machine {
 		regIDs:   make(map[string]regID, 8),
 		shardMin: defaultShardMin,
 	}
-	m.batch.m = m
-	m.parSend = m.batch.Send
+	m.parSend = m.issue
 	return m
 }
 
@@ -361,9 +354,9 @@ func NewWithMemoryLimit(limit int) *Machine {
 // counters are rebuilt from the live registers, and the physical peak
 // restarts from the current occupancy.
 //
-// Finite backends execute batched rounds sequentially even when SetShards
-// has enabled sharding: the physical co-residency peak depends on the
-// issue order of register writes across the whole round, which the
+// Finite backends deliver Par rounds sequentially even when SetShards has
+// enabled sharding: the physical co-residency peak depends on the issue
+// order of register writes across the whole round, which the
 // shard-parallel delivery pass does not preserve.
 func (m *Machine) SetBackend(b Backend) {
 	b = b.normalize()
@@ -562,9 +555,10 @@ func (m *Machine) ResetClocks() {
 // allocated tiles, per-PE register slices, interning table and round buffers
 // for reuse. Sweeps run many sizes on one machine with Reset between points
 // instead of reallocating the grid each time. The memory limit, trace sink,
-// congestion-tracking, shard-count, batched-send and backend settings
+// congestion-tracking, shard-count, SetBatchSends and backend settings
 // survive (the phase annotation is cleared); congestion link loads and
-// physical-PE occupancy counts are cleared.
+// physical-PE occupancy counts are cleared. Reset also closes a Par round
+// that a panic left open, so a recovered machine can be reused.
 func (m *Machine) Reset() {
 	for _, t := range m.tiles {
 		if t.touched == 0 {
@@ -582,7 +576,7 @@ func (m *Machine) Reset() {
 			p.regs = p.regs[:0]
 			p.clk = clock{}
 			p.peakReg = 0
-			p.snapSeen = 0
+			p.wireSeen = 0
 			p.indepSeen = 0
 			p.touched = false
 		}
@@ -593,6 +587,9 @@ func (m *Machine) Reset() {
 	m.phase = ""
 	m.indepLogs = m.indepLogs[:0]
 	m.indepGens = m.indepGens[:0]
+	clear(m.round)
+	m.round = m.round[:0]
+	m.parOpen = false
 	if m.cong != nil {
 		m.cong.Reset()
 	}
@@ -664,9 +661,8 @@ func (m *Machine) Has(c Coord, r Reg) bool {
 // computation).
 //
 // Send is the singleton, immediately-delivered form: a later Send from `to`
-// chains onto this one. For rounds of causally independent messages use the
-// batched form (Round/SendBatch, or Par), which amortizes per-message
-// overhead and is eligible for shard-parallel execution.
+// chains onto this one. For rounds of causally independent messages use
+// Par, whose large rounds are eligible for shard-parallel delivery.
 func (m *Machine) Send(from Coord, srcReg Reg, to Coord, dstReg Reg) {
 	v := m.Get(from, srcReg)
 	m.SendValue(from, to, dstReg, v)
@@ -674,8 +670,8 @@ func (m *Machine) Send(from Coord, srcReg Reg, to Coord, dstReg Reg) {
 
 // SendValue transmits v, a value computed locally at from, into register
 // dstReg of to. The chain semantics are identical to Send; like Send it is
-// the chain-extending singleton form — prefer Round/SendBatch for bulk
-// rounds of independent messages.
+// the chain-extending singleton form — prefer Par for bulk rounds of
+// independent messages.
 func (m *Machine) SendValue(from, to Coord, dstReg Reg, v Value) {
 	if from == to {
 		m.Set(to, dstReg, v)
@@ -686,8 +682,7 @@ func (m *Machine) SendValue(from, to Coord, dstReg Reg, v Value) {
 }
 
 // chargeAccum holds the energy and message counters and the depth/distance
-// maxima of charged messages: the machine's own, one charge chunk's
-// shard-local counters, or a Wires kernel's.
+// maxima of charged messages: the machine's own or a Wires kernel's.
 type chargeAccum struct {
 	energy   int64
 	messages int64
@@ -888,42 +883,56 @@ func (m *Machine) noteTouch(c Coord, p *pe) {
 // the same round. Algorithms use it for parallel steps in which many PEs
 // act at once (compare-exchange levels, permutation routing, PRAM steps).
 // Deliveries are applied in issue order; if two messages target the same
-// register, the later one wins. The round callback must only issue sends —
-// it must not invoke Par or Independent itself.
+// register, the later one wins; a send from a PE to itself is free local
+// computation. The callback must not send except through send — no nested
+// Par (which panics), Send, SendValue, Independent or Wires — and send must
+// not be called after the callback returns.
 //
-// Par is the closure form of the round API; SendBatch/Round is the recorded
-// form. With sharding enabled (SetShards > 1) Par records the round into the
-// machine's batch and executes it through the shard-parallel path, with
-// byte-identical results.
+// Each message is charged when it is issued, against its sender's current
+// clock: that is the start-of-round clock, because nothing is delivered
+// before the callback returns. A round of at least shardMin messages on a
+// sharded machine (SetShards > 1) under Ideal is then delivered across
+// shards, with byte-identical results (see shard.go).
 func (m *Machine) Par(round func(send func(from, to Coord, dstReg Reg, v Value))) {
-	if m.shards > 1 {
-		b := m.Round()
-		round(m.parSend)
-		b.Flush()
-		return
+	if m.parOpen {
+		panic("machine: Par called inside a Par round")
 	}
-	m.parRound++
-	gen := m.parRound
-	pending := m.pendingBuf[:0]
-	m.pendingBuf = nil
-	send := func(from, to Coord, dstReg Reg, v Value) {
-		g := bmsg{from: from, to: to, v: v, dst: m.regID(dstReg)}
-		if from != to {
-			src := m.peAt(from)
-			if src.snapSeen != gen {
-				src.snapClk = src.clk
-				src.snapSeen = gen
-			}
-			g.clk = m.charge(from, to, src.snapClk, v)
+	m.parOpen = true
+	m.round = m.round[:0]
+	round(m.parSend)
+	m.parOpen = false
+	msgs := m.round
+	if m.shards > 1 && len(msgs) >= m.shardMin && !m.bk.Finite() {
+		m.deliverSharded(msgs)
+	} else {
+		for i := range msgs {
+			g := &msgs[i]
+			m.deliver(g.to, g.clk, g.dst, g.v)
 		}
-		pending = append(pending, g)
 	}
-	round(send)
-	m.deliverRound(pending)
-	for i := range pending {
-		pending[i].v = nil // release payload references until the next round
+	clear(msgs) // release payload references until the next round
+}
+
+// roundMsg is one charged message of a Par round awaiting delivery: its
+// receiver, its chain and its payload.
+type roundMsg struct {
+	to  Coord
+	clk clock
+	v   Value
+	dst regID
+}
+
+// issue is Par's send function: it charges the message and queues it for
+// delivery when the round's callback returns.
+func (m *Machine) issue(from, to Coord, dstReg Reg, v Value) {
+	if !m.parOpen {
+		panic("machine: send called outside its Par round")
 	}
-	m.pendingBuf = pending
+	g := roundMsg{to: to, v: v, dst: m.regID(dstReg)}
+	if from != to {
+		g.clk = m.charge(from, to, m.peAt(from).clk, v)
+	}
+	m.round = append(m.round, g)
 }
 
 // MemoryLimitError reports a PE exceeding the configured per-PE register

@@ -115,7 +115,11 @@ func TestMemoryLimitEventOrder(t *testing.T) {
 		"Par": func(m *Machine) {
 			m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) { send(from, to, "b", 2) })
 		},
-		"SendBatch": func(m *Machine) { m.SendBatch(func(b *Batch) { b.Send(from, to, "b", 2) }) },
+		"Par sharded": func(m *Machine) {
+			m.SetShards(2)
+			m.shardMin = 1
+			m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) { send(from, to, "b", 2) })
+		},
 	} {
 		m := NewWithMemoryLimit(1)
 		events := 0

@@ -2,46 +2,41 @@ package machine
 
 import "sync"
 
-// Shard-parallel round execution.
+// Shard-parallel round delivery.
 //
 // The model makes every message of a parallel round causally independent: a
 // send reads its sender's clock as of the start of the round and never
-// advances it, so charging the messages of one round commutes, and the only
-// cross-message interaction is at the receivers — clock merges (max), the
-// energy/message sums, the depth/distance maxima, and register overwrites in
-// issue order. All of those are either associative-commutative reductions or
-// are confined to a single destination PE. Sharding exploits exactly that
-// structure:
+// advances it, and Par charges each message as it is issued, before any of
+// the round is delivered. What is left when the callback returns is the
+// delivery, whose only cross-message interactions are at the receivers —
+// clock merges (max), register overwrites in issue order, and the memory
+// peak — all confined to a single destination PE or reduced by max.
+// Sharding splits exactly that pass:
 //
-//   - a sequential grouping pass resolves every sender and receiver PE (the
-//     only step that mutates the tile map, the tile cache and the touched-PE
+//   - a sequential grouping pass resolves every receiver PE (the only step
+//     that mutates the tile map, the tile cache and the touched-PE
 //     accounting) and buckets messages by destination tile;
-//   - the charge pass splits the round into contiguous chunks, each chunk
-//     accumulating energy/messages/max-depth/max-distance into shard-local
-//     counters merged deterministically at the barrier;
 //   - the delivery pass runs one goroutine per shard; all deliveries to a
 //     given tile land in the same shard, so clock merges, register writes and
 //     the per-tile touch counters stay single-writer, while per-shard peak
 //     memory, Independent journals and memory-limit violations are merged
 //     after the join.
 //
-// Because integer sums and maxima are exact and per-PE delivery order is
-// preserved inside a shard, the resulting counters, clocks and registers are
-// byte-identical to the sequential engine for every shard count. When a
-// trace sink or congestion tracking is attached the charge pass stays
-// sequential (events must stream in issue order with cumulative counters;
-// link loads share one map), and only delivery is parallelized.
+// Because per-PE delivery order is preserved inside a shard and the merged
+// quantities are maxima, the resulting clocks, registers and counters are
+// byte-identical to the sequential delivery for every shard count.
 
 // defaultShardMin is the smallest round (in messages) worth forking for.
 // Below it, the fork/join overhead of a handful of goroutines exceeds the
-// round's sequential cost.
+// round's sequential delivery.
 const defaultShardMin = 2048
 
-// SetShards sets the number of shards rounds are partitioned into. k <= 1
-// restores sequential execution. The setting survives Reset, so pooled
-// machines keep their shard count across sweep points. Sharding changes no
-// observable output — counters, clocks, registers and trace streams are
-// byte-identical for every k — only wall-clock time.
+// SetShards sets the number of shards the delivery of large Par rounds is
+// partitioned into. k <= 1 restores sequential delivery. The setting
+// survives Reset, so pooled machines keep their shard count across sweep
+// points. Sharding changes no observable output — counters, clocks,
+// registers and trace streams are byte-identical for every k — only
+// wall-clock time.
 func (m *Machine) SetShards(k int) {
 	if k < 1 {
 		k = 1
@@ -78,20 +73,17 @@ type shardViolation struct {
 
 // shardScratch holds the reusable buffers of the sharded executor.
 type shardScratch struct {
-	srcs, dsts []*pe
-	buckets    [][]int32
-	charges    []chargeAccum
-	journals   [][]shardTouch
-	peaks      []int
-	viols      []shardViolation
+	dsts     []*pe
+	buckets  [][]int32
+	journals [][]shardTouch
+	peaks    []int
+	viols    []shardViolation
 }
 
 func (s *shardScratch) size(n, k int) {
-	if cap(s.srcs) < n {
-		s.srcs = make([]*pe, n)
+	if cap(s.dsts) < n {
 		s.dsts = make([]*pe, n)
 	}
-	s.srcs = s.srcs[:n]
 	s.dsts = s.dsts[:n]
 	for len(s.buckets) < k {
 		s.buckets = append(s.buckets, nil)
@@ -99,13 +91,11 @@ func (s *shardScratch) size(n, k int) {
 	for i := 0; i < k; i++ {
 		s.buckets[i] = s.buckets[i][:0]
 	}
-	if cap(s.charges) < k {
-		s.charges = make([]chargeAccum, k)
+	if cap(s.journals) < k {
 		s.journals = make([][]shardTouch, k)
 		s.peaks = make([]int, k)
 		s.viols = make([]shardViolation, k)
 	}
-	s.charges = s.charges[:k]
 	s.journals = s.journals[:k]
 	s.peaks = s.peaks[:k]
 	s.viols = s.viols[:k]
@@ -121,54 +111,21 @@ func shardOf(k Coord, n int) int {
 	return int(x % uint64(n))
 }
 
-// processSharded executes one recorded round across m.shards shards. See the
-// package comment above for the phase structure and the commutation argument.
-func (m *Machine) processSharded(msgs []bmsg) {
+// deliverSharded delivers one charged Par round across m.shards shards. See
+// the comment above for the pass structure.
+func (m *Machine) deliverSharded(msgs []roundMsg) {
 	k := m.shards
 	s := &m.sh
 	s.size(len(msgs), k)
 
-	// Grouping pass: resolve PEs (single-threaded — this is the only phase
-	// that may create tiles, move the tile cache or flip touched bits) and
-	// bucket deliveries by destination tile.
+	// Grouping pass: resolve receivers (single-threaded — this is the only
+	// phase that may create tiles, move the tile cache or flip touched bits)
+	// and bucket deliveries by destination tile.
 	for i := range msgs {
-		g := &msgs[i]
-		if g.from != g.to {
-			s.srcs[i] = m.peAt(g.from)
-		} else {
-			s.srcs[i] = nil
-		}
-		s.dsts[i] = m.peAt(g.to)
-		b := shardOf(tileKey(g.to), k)
+		to := msgs[i].to
+		s.dsts[i] = m.peAt(to)
+		b := shardOf(tileKey(to), k)
 		s.buckets[b] = append(s.buckets[b], int32(i))
-	}
-
-	// Charge pass. No clock mutates until delivery, so sender clocks read
-	// here are start-of-round values regardless of chunk interleaving.
-	if m.sink != nil || m.cong != nil {
-		// Events must stream in issue order with exact cumulative counters,
-		// and congestion shares one link-load map: charge sequentially.
-		m.chargeRound(msgs)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(msgs) + k - 1) / k
-		for w := 0; w < k; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(msgs))
-			if lo >= hi {
-				s.charges[w] = chargeAccum{}
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				s.charges[w] = chargeChunk(msgs[lo:hi], s.srcs[lo:hi])
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for w := 0; w < k; w++ {
-			m.acc.merge(s.charges[w])
-		}
 	}
 
 	// Delivery pass: one goroutine per shard; every delivery to a given tile
@@ -224,28 +181,11 @@ func (m *Machine) processSharded(msgs []bmsg) {
 	}
 }
 
-// chargeChunk charges one contiguous chunk of the round into local counters.
-// It only reads sender clocks and writes the chunk's own messages, so chunks
-// are data-race free by construction. Sharded rounds run only under Ideal
-// (see processRound), so the distance is the virtual Manhattan distance.
-func chargeChunk(msgs []bmsg, srcs []*pe) chargeAccum {
-	var a chargeAccum
-	for i := range msgs {
-		g := &msgs[i]
-		if srcs[i] == nil {
-			g.clk = clock{} // self-send: free local computation
-			continue
-		}
-		g.clk = a.add(srcs[i].clk, Dist(g.from, g.to))
-	}
-	return a
-}
-
 // deliverShard applies one shard's deliveries in issue order: clock merges,
 // register writes, per-PE and shard-local memory peaks, and deferred
 // Independent journaling. All receiver PEs of the shard live in tiles owned
 // exclusively by this shard for the duration of the round.
-func (m *Machine) deliverShard(msgs []bmsg, idxs []int32, top uint64, w int) {
+func (m *Machine) deliverShard(msgs []roundMsg, idxs []int32, top uint64, w int) {
 	s := &m.sh
 	journal := s.journals[w][:0]
 	peak := 0
@@ -259,7 +199,7 @@ func (m *Machine) deliverShard(msgs []bmsg, idxs []int32, top uint64, w int) {
 		}
 		p.clk.merge(g.clk.depth, g.clk.dist)
 		// No physGrow here: finite backends never reach the sharded path
-		// (see processRound).
+		// (see Par).
 		p.set(g.dst, g.v)
 		n := len(p.regs)
 		if n > p.peakReg {

@@ -94,7 +94,7 @@ func TestRegionFor(t *testing.T) {
 		{16, TileTall, 8, 2, true},
 		{64, TileWide, 4, 16, true},
 		{9, TileSquare, 3, 3, true},
-		{9, TileWide, 0, 0, false},  // odd side
+		{9, TileWide, 0, 0, false},    // odd side
 		{12, TileSquare, 0, 0, false}, // not a perfect square
 	}
 	for _, c := range cases {

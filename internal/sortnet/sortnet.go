@@ -10,12 +10,12 @@
 // bound, because the recursion eventually degenerates into a 1-D algorithm
 // inside single rows.
 //
-// Execution goes through the machine's batched round API: each network
-// level is recorded as one round (two messages per comparator) and flushed,
-// which makes levels eligible for shard-parallel execution. Because the
-// communication pattern is oblivious to the values, the package also
-// supports the machine's counting-only fast path: when
-// machine.CountingOnly() reports true, values are kept host-side and each
+// Each network level executes as one machine.Par round (two messages per
+// comparator), which makes large levels eligible for shard-parallel
+// delivery. Because the communication pattern is oblivious to the values,
+// the package also supports the machine's counting-only fast path: when
+// machine.CountingOnly() reports true (SetBatchSends admitted it and no
+// trace sink or memory limit is attached), values are kept host-side and each
 // comparator is one exchange on a machine.Wires kernel bound to the
 // network's wires instead of register traffic, leaving Energy, Depth,
 // Distance and Messages bit-identical. Large networks stream their levels
@@ -203,8 +203,8 @@ type TrackRun struct {
 // Each comparator is realized as one message round trip between the two
 // wire PEs (both PEs send their value, then locally keep the min or max),
 // so a comparator between PEs at Manhattan distance d costs 2d energy.
-// Levels execute as batched parallel rounds; when the machine reports
-// CountingOnly, values stay host-side and the rounds are counting-only.
+// Levels execute as Par rounds; when the machine reports CountingOnly,
+// values stay host-side and the rounds are counting-only.
 func Run(m *machine.Machine, nw Network, t grid.Track, reg machine.Reg, less order.Less) {
 	RunLevels(m, nw.Levels(), t, reg, less)
 }
@@ -215,12 +215,15 @@ func RunLevels(m *machine.Machine, ls Levels, t grid.Track, reg machine.Reg, les
 }
 
 // RunMany executes the same network over many pairwise disjoint tracks,
-// fusing level i of every track into one batched round. Comparator chains
-// never cross tracks, so the resulting metrics are identical to running the
+// fusing level i of every track into one Par round. Comparator chains never
+// cross tracks, so the resulting metrics are identical to running the
 // network on each track sequentially — but the fused rounds are large
-// enough for the machine's sharded executor to parallelize, where the
+// enough for the machine's sharded delivery to parallelize, where the
 // per-track rounds (e.g. one row of a mesh) would be too small. The tracks
-// must be pairwise disjoint and every track position must hold reg.
+// must be pairwise disjoint and every track position must hold reg. When
+// the machine reports CountingOnly — the fast path SetBatchSends admits
+// when no trace sink or memory limit is attached — the levels run on a
+// Wires counting kernel instead (runManyCounting).
 func RunMany(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) {
 	if m.CountingOnly() {
 		runManyCounting(m, ls, tracks, reg)
@@ -229,12 +232,12 @@ func RunMany(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) 
 	var level []Comparator
 	for l := 0; l < ls.Count; l++ {
 		level = ls.At(l, level)
-		m.SendBatch(func(b *machine.Batch) {
+		m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
 			for _, tr := range tracks {
 				for _, c := range level {
 					lo, hi := tr.Track.At(c.Lo), tr.Track.At(c.Hi)
-					b.Send(lo, hi, "net.in", m.Get(lo, reg))
-					b.Send(hi, lo, "net.in", m.Get(hi, reg))
+					send(lo, hi, "net.in", m.Get(lo, reg))
+					send(hi, lo, "net.in", m.Get(hi, reg))
 				}
 			}
 		})
@@ -328,7 +331,7 @@ func Sort(m *machine.Machine, t grid.Track, reg machine.Reg, n int, less order.L
 // polynomial Theta(sqrt(n) log n) depth, which is exactly what the paper's
 // polylog-depth algorithms improve upon. Each phase runs all rows (or all
 // columns) fused through RunMany, so one transposition step of the whole
-// mesh is a single batched round of side^2 messages.
+// mesh is a single Par round of side^2 messages.
 func Shearsort(m *machine.Machine, r grid.Rect, reg machine.Reg, less order.Less) {
 	if !r.IsSquare() {
 		panic(fmt.Sprintf("sortnet: Shearsort requires a square region, got %v", r))

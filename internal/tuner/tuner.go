@@ -291,7 +291,7 @@ func scanWorkload() Workload {
 		Cost:       func(n int) float64 { return float64(n) * log2f(n) },
 		quickNs:    []int{64, 256, 1024},
 		fullNs:     []int{64, 256, 1024, 4096, 16384, 65536},
-		Gen: func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
+		Gen:        func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
 		Run: func(m *machine.Machine, n int, input any, mp mapping.Mapping) {
 			r := grid.SquareFor(machine.Coord{}, n)
 			placeFloats(m, mapped.ScanTrack(mp, r), input.([]float64), 0)
@@ -323,7 +323,7 @@ func reduceWorkload() Workload {
 		Cost:       func(n int) float64 { return float64(n) },
 		quickNs:    []int{64, 256, 1024},
 		fullNs:     []int{64, 256, 1024, 4096, 16384, 65536},
-		Gen: func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
+		Gen:        func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
 		Run: func(m *machine.Machine, n int, input any, mp mapping.Mapping) {
 			r := mapped.ReduceRegion(n, mp)
 			placeFloats(m, grid.RowMajor(r), input.([]float64), 0)
@@ -353,7 +353,7 @@ func sortWorkload() Workload {
 		Cost:       func(n int) float64 { return float64(n) * math.Sqrt(float64(n)) },
 		quickNs:    []int{64, 256, 1024},
 		fullNs:     []int{64, 256, 1024, 4096, 16384},
-		Gen: func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
+		Gen:        func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
 		Run: func(m *machine.Machine, n int, input any, mp mapping.Mapping) {
 			r := grid.SquareFor(machine.Coord{}, n)
 			placeFloats(m, mapped.SortTrack(mp, r), input.([]float64), math.Inf(1))

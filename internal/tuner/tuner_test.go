@@ -19,8 +19,8 @@ func mp(track grid.TrackKind, arity int) mapping.Mapping {
 // exact cost ties all survive.
 func TestParetoPruning(t *testing.T) {
 	a := Candidate{Mapping: mp(grid.TrackRowMajor, 2), Energy: 100, Depth: 10}
-	b := Candidate{Mapping: mp(grid.TrackZOrder, 2), Energy: 50, Depth: 20}   // incomparable with a
-	c := Candidate{Mapping: mp(grid.TrackHilbert, 2), Energy: 100, Depth: 20} // dominated by both
+	b := Candidate{Mapping: mp(grid.TrackZOrder, 2), Energy: 50, Depth: 20}    // incomparable with a
+	c := Candidate{Mapping: mp(grid.TrackHilbert, 2), Energy: 100, Depth: 20}  // dominated by both
 	d := Candidate{Mapping: mp(grid.TrackRowMajor, 4), Energy: 100, Depth: 10} // ties a exactly
 
 	front := Pareto([]Candidate{a, b, c, d})

@@ -92,14 +92,14 @@ func WithMemoryLimit(limit int) Option {
 // (X-then-Y) mesh routing; the resulting maximum per-link load is reported
 // in Metrics.MaxLinkLoad. Tracking costs O(distance) bookkeeping per
 // message, so it is off by default. It composes with WithShards: link loads
-// are tracked in the (sequential) charge pass, so the reported load is
-// identical for every shard count.
+// are tracked as each message is issued, before any sharded delivery, so
+// the reported load is identical for every shard count.
 func WithCongestion() Option {
 	return func(c *config) { c.congestion = true }
 }
 
-// WithShards executes the operation's parallel rounds across k shards of
-// the PE grid (destination-tile partitioning; see internal/machine). The
+// WithShards delivers the operation's large parallel rounds across k shards
+// of the PE grid (destination-tile partitioning; see internal/machine). The
 // results and Metrics are byte-identical for every k — sharding changes
 // wall-clock time only. k <= 1 keeps rounds sequential. Composes with
 // WithCongestion and WithTraceSink (the event stream stays in issue order);
@@ -115,10 +115,9 @@ func WithShards(k int) Option {
 	}
 }
 
-// WithBatchSends drives the operation through the machine's batched send
-// API with the counting-only fast path enabled: operations whose
-// communication is data-oblivious (SortBitonic, SortMesh) keep payloads
-// host-side and skip the register traffic. Energy, Depth, Distance and
+// WithBatchSends admits the machine's counting-only fast path: operations
+// whose communication is data-oblivious (SortBitonic, SortMesh) keep
+// payloads host-side and skip the register traffic. Energy, Depth, Distance and
 // Messages are unchanged; PeakMemory reflects only the registers actually
 // materialized, and Metrics.CriticalPath is unavailable (the implicit
 // critical-path recorder is a trace sink, which the fast path forgoes).
