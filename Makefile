@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt contracts bench test bench-compare trace-smoke spatiald-smoke tune-smoke graph-smoke backend-smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
+.PHONY: check fmt contracts bench test bench-compare trace-smoke spatiald-smoke smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
 
 # check is the full gate: build, formatting, vet, staticcheck, the
 # race-enabled test suite, the determinism contract suites the race build
 # skips, the trace-artifact smoke test, the spatiald daemon smoke test, the
-# quick conformance run and its byte-for-byte verdict check.
+# tuner/graph/backend smokes, the quick conformance run and its
+# byte-for-byte verdict check.
 check:
 	$(GO) build ./...
 	$(MAKE) fmt
@@ -15,9 +16,9 @@ check:
 	$(MAKE) contracts
 	$(MAKE) trace-smoke
 	$(MAKE) spatiald-smoke
-	$(MAKE) tune-smoke
-	$(MAKE) graph-smoke
-	$(MAKE) backend-smoke
+	$(MAKE) smoke SUITE=tune
+	$(MAKE) smoke SUITE=graph
+	$(MAKE) smoke SUITE=backend
 	$(MAKE) conformance QUICK=1
 	$(MAKE) conformance-golden
 
@@ -132,46 +133,36 @@ bench-compare:
 spatiald-smoke:
 	$(GO) test -race -count 1 ./cmd/spatiald/ ./internal/service/
 
-# tune-smoke runs the layout/schedule auto-tuner end to end under the
-# race detector: the tuner and spatialtune test suites, then a real quick
-# tune through the result cache whose warm rerun must produce the
-# byte-identical JSON verdict document (the tuner's determinism contract:
-# output is a pure function of (workloads, sizes, seed)).
-tune-smoke:
-	$(GO) test -race -count 1 ./internal/tuner/ ./cmd/spatialtune/
+# smoke SUITE=tune|graph|backend gates one subsystem end to end: its test
+# packages under the race detector, then a quick -json run through a fresh
+# result cache whose warm rerun must emit the byte-identical document (the
+# suite's determinism contract at the CLI boundary). The suites:
+#   tune     the layout/schedule auto-tuner: tuner and spatialtune tests,
+#            then a real quick tune (output is a pure function of
+#            (workloads, sizes, seed));
+#   graph    the composed graph-analytics suite: every algorithm checked
+#            against its host reference, answers pinned across
+#            shards/batch/mappings, then the quick graph bound claims;
+#   backend  the finite-hardware backend layer: sharded folded runs
+#            byte-identical to the sequential folded engine, then the quick
+#            backend bound claims (backend simcache keying and verdict
+#            determinism).
+SMOKE_tune_PKGS := ./internal/tuner/ ./cmd/spatialtune/
+SMOKE_tune_CMD := -race ./cmd/spatialtune -quick -json
+SMOKE_graph_PKGS := ./internal/graph/
+SMOKE_graph_CMD := ./cmd/boundcheck -quick -run graph/ -json
+SMOKE_backend_PKGS := ./internal/machine/ ./internal/harness/ ./spatialdf/
+SMOKE_backend_RUN := Backend|Fold
+SMOKE_backend_CMD := ./cmd/boundcheck -quick -run backend/ -json
+smoke:
+	@if [ -z "$(SMOKE_$(SUITE)_PKGS)" ]; then \
+		echo "smoke: SUITE must be one of tune, graph, backend (got '$(SUITE)')" >&2; exit 2; fi
+	$(GO) test -race -count 1 $(if $(SMOKE_$(SUITE)_RUN),-run '$(SMOKE_$(SUITE)_RUN)') $(SMOKE_$(SUITE)_PKGS)
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run -race ./cmd/spatialtune -quick -json -cache $$tmp/cache > $$tmp/a.json; \
-	$(GO) run -race ./cmd/spatialtune -quick -json -cache $$tmp/cache > $$tmp/b.json; \
+	$(GO) run $(SMOKE_$(SUITE)_CMD) -cache $$tmp/cache > $$tmp/a.json; \
+	$(GO) run $(SMOKE_$(SUITE)_CMD) -cache $$tmp/cache > $$tmp/b.json; \
 	cmp $$tmp/a.json $$tmp/b.json \
-		|| { echo "tune-smoke: warm rerun verdict differs" >&2; exit 1; }
-
-# graph-smoke gates the composed graph-analytics suite: the internal/graph
-# tests under the race detector (every algorithm checked against its host
-# reference, answers pinned across shards/batch/mappings), then the quick
-# graph bound claims through the result cache — the warm rerun must emit
-# the byte-identical verdict JSON, which is the suite's determinism
-# contract at the CLI boundary.
-graph-smoke:
-	$(GO) test -race -count 1 ./internal/graph/
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/boundcheck -quick -run graph/ -json -cache $$tmp/cache > $$tmp/a.json; \
-	$(GO) run ./cmd/boundcheck -quick -run graph/ -json -cache $$tmp/cache > $$tmp/b.json; \
-	cmp $$tmp/a.json $$tmp/b.json \
-		|| { echo "graph-smoke: warm rerun verdict differs" >&2; exit 1; }
-
-# backend-smoke gates the finite-hardware backend layer: the folded
-# mesh/torus machine tests under the race detector (sharded folded runs
-# must stay byte-identical to the sequential folded engine), then the
-# quick backend bound claims through the result cache — the warm rerun
-# must emit the byte-identical verdict JSON, so backend simcache keying
-# and verdict determinism are checked at the CLI boundary.
-backend-smoke:
-	$(GO) test -race -count 1 -run 'Backend|Fold' ./internal/machine/ ./internal/harness/ ./spatialdf/
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/boundcheck -quick -run backend/ -json -cache $$tmp/cache > $$tmp/a.json; \
-	$(GO) run ./cmd/boundcheck -quick -run backend/ -json -cache $$tmp/cache > $$tmp/b.json; \
-	cmp $$tmp/a.json $$tmp/b.json \
-		|| { echo "backend-smoke: warm rerun verdict differs" >&2; exit 1; }
+		|| { echo "smoke SUITE=$(SUITE): warm rerun verdict differs" >&2; exit 1; }
 
 # trace-smoke runs one quick experiment with tracing and heatmap output on
 # and validates the trace_event JSON with cmd/tracecheck (-parallel 1 keeps

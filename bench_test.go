@@ -522,7 +522,7 @@ func BenchmarkSweepScan(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			h := harness.New(1, harness.WithWorkers(workers))
 			for i := 0; i < b.N; i++ {
-				h.Sweep("bench-scan", 12, point)
+				h.Go("bench-scan", 12, point).Rows()
 			}
 		})
 	}

@@ -3,14 +3,17 @@
 // Computer Model simulator. See DESIGN.md for the experiment index and
 // EXPERIMENTS.md for recorded results.
 //
-// Every experiment is decomposed into independent measurement points and
-// executed through internal/harness on a pool of recycled machines, so
-// sweeps use all cores by default. Within each machine, -shards splits
-// the delivery of large parallel rounds across worker goroutines and
-// -batch admits the counting-only fast path for the sorting networks
-// (both on by default). Output is
-// byte-identical for any -parallel/-shards/-batch combination at a fixed
-// -seed; the knobs exist so regressions and speedups can be attributed.
+// Every experiment renders the registered sweeps of
+// internal/experiments.BoundSweeps — the same points boundcheck gates,
+// spatiald serves and the result cache stores. The sweeps the selected
+// experiments read are enqueued once each and executed through
+// internal/harness on a pool of recycled machines, so they use all cores
+// by default. Within each machine, -shards splits the delivery of large
+// parallel rounds across worker goroutines and -batch admits the
+// counting-only fast path for the sorting networks (both on by default).
+// Output is byte-identical for any -parallel/-shards/-batch combination
+// at a fixed -seed; the knobs exist so regressions and speedups can be
+// attributed.
 //
 // Usage:
 //
@@ -27,16 +30,15 @@
 //	spatialbench -backend torus:8x8:4    # fold onto a finite fabric (costs
 //	                                 # change, results don't; heatmaps show
 //	                                 # load on physical links)
-//	spatialbench -server URL -sweep table1/scan   # run a bound sweep on spatiald
+//	spatialbench -server URL -sweep bounds/scan   # run a registered sweep on spatiald
 //	spatialbench -server URL -sweep list          # list the daemon-runnable sweeps
 //
 // -cache keys every sweep point by (sweep, point, seed, shards, batch,
-// code version) — see internal/simcache — so repeat runs replay stored
-// rows instead of simulating; experiment output is byte-identical either
-// way, and hit/miss counts go to stderr. -server submits one *registered
-// bound sweep* (the named sweeps of internal/experiments.BoundSweeps; the
-// full experiment drivers run locally only) to a spatiald daemon and
-// prints its rows.
+// congestion, mapping, backend, code version) — see internal/simcache —
+// so repeat runs replay stored rows instead of simulating; experiment
+// output is byte-identical either way, and hit/miss counts go to stderr.
+// -server submits one registered sweep to a spatiald daemon and prints
+// its raw rows; the tables render locally only.
 package main
 
 import (
@@ -86,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheFlag  = cliflags.AddCache(fs, "")
 		backend    = cliflags.AddBackend(fs)
 		server     = cliflags.AddServer(fs, "submit -sweep to this spatiald daemon (URL or host:port) instead of running locally")
-		sweepName  = fs.String("sweep", "", "registered bound sweep to run via -server (\"list\" to enumerate)")
+		sweepName  = fs.String("sweep", "", "registered sweep to run via -server (\"list\" to enumerate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -221,20 +223,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, harness.WithSink(trace.Synchronized(trace.Multi(sinks...))))
 	}
 
-	cfg := experiments.Config{
-		Quick: *quick,
-		CSV:   *csv,
-		JSON:  *jsonOut,
-		Out:   stdout,
-		H:     harness.New(*seed, opts...),
-	}
+	var selected []experiments.Experiment
 	for _, e := range exps {
 		if *expName == "all" || *expName == e.Name {
-			fmt.Fprintf(stdout, "=== %s — %s ===\n%s\n\n", e.Name, e.Artifact, e.Desc)
-			e.Run(cfg)
-			fmt.Fprintln(stdout)
+			selected = append(selected, e)
 		}
 	}
+	experiments.Run(harness.New(*seed, opts...),
+		experiments.Config{Quick: *quick, CSV: *csv, JSON: *jsonOut, Out: stdout}, selected...)
 
 	if chrome != nil {
 		if err := chrome.Close(); err != nil {
@@ -264,12 +260,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runSweepOnServer submits one registered bound sweep to a spatiald daemon
-// and prints its rows (tab-separated, or the raw result document with
-// -json). "-sweep list" asks the local registry for the runnable names.
+// runSweepOnServer submits one registered sweep to a spatiald daemon and
+// prints its rows (tab-separated, or the raw result document with -json).
+// "-sweep list" asks the local registry for the runnable names.
 func runSweepOnServer(server, name string, quick bool, seed int64, jsonOut bool, backendSpec string, stdout, stderr io.Writer) int {
 	if name == "list" {
-		fmt.Fprintln(stdout, "bound sweeps (run with -server URL -sweep NAME):")
+		fmt.Fprintln(stdout, "registered sweeps (run with -server URL -sweep NAME):")
 		for _, n := range experiments.BoundSweeps(quick).Names() {
 			fmt.Fprintf(stdout, "  %s\n", n)
 		}

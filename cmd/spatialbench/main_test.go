@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/service"
@@ -21,49 +23,37 @@ func runCLI(t *testing.T, args ...string) (string, string, int) {
 	return out.String(), errOut.String(), code
 }
 
-// testConfig builds a config for driving one experiment directly.
-func testConfig(workers int, opts ...func(*experiments.Config)) experiments.Config {
-	cfg := experiments.Config{
-		Quick: true,
-		Out:   io.Discard,
-		H:     harness.New(1, harness.WithWorkers(workers)),
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// runByName drives one experiment end to end through the shared registry.
-func runByName(t *testing.T, name string, cfg experiments.Config) {
+// runByName renders one quick experiment end to end through the shared
+// registry on a runner built from opts.
+func runByName(t *testing.T, name string, csv bool, opts ...harness.Option) {
 	t.Helper()
 	e, ok := experiments.ByName(name)
 	if !ok {
 		t.Fatalf("experiment %q not registered", name)
 	}
-	e.Run(cfg)
+	experiments.Run(harness.New(1, opts...), experiments.Config{Quick: true, CSV: csv, Out: io.Discard}, e)
 }
 
 // Smoke tests: the cheap experiments must run to completion without
 // panicking (correctness of the numbers is covered by the package tests the
 // experiments are built from).
 func TestCollectivesExperimentSmoke(t *testing.T) {
-	runByName(t, "collectives", testConfig(2))
+	runByName(t, "collectives", false, harness.WithWorkers(2))
 }
 
 func TestReduceAblationSmoke(t *testing.T) {
-	runByName(t, "reduce-ablation", testConfig(2, func(c *experiments.Config) { c.CSV = true }))
+	runByName(t, "reduce-ablation", true, harness.WithWorkers(2))
 }
 
 func TestScanAblationSmoke(t *testing.T) {
-	runByName(t, "scan-ablation", testConfig(2))
+	runByName(t, "scan-ablation", false, harness.WithWorkers(2))
 }
 
 func TestTreefixExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("treefix sweep skipped in -short mode")
 	}
-	runByName(t, "treefix", testConfig(2))
+	runByName(t, "treefix", false, harness.WithWorkers(2))
 }
 
 func TestUnknownExperimentExitCode(t *testing.T) {
@@ -142,6 +132,43 @@ func TestJSONOutputShape(t *testing.T) {
 	}
 }
 
+// TestComponentsTableIsRegistryRows: the components tables print the
+// rows the conformance gate checks. Their inputs are randomized per
+// (seed, sweep, point), so cell-for-cell equality with a direct registry
+// run of the bound sweeps at the same seed shows the tables read those
+// sweeps rather than measuring inputs of their own.
+func TestComponentsTableIsRegistryRows(t *testing.T) {
+	out, errOut, code := runCLI(t, "-exp", "components", "-quick", "-csv", "-seed", "3", "-parallel", "2")
+	if code != 0 {
+		t.Fatalf("exit = %d (stderr: %s)", code, errOut)
+	}
+	reg := experiments.BoundSweeps(true)
+	r := harness.New(3, harness.WithWorkers(2))
+	var want []string
+	for _, sweep := range []string{"bounds/all-pairs", "bounds/rank-select", "bounds/merge"} {
+		rows, err := reg.Run(r, sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			// Rendered through a one-row table, so each cell is formatted
+			// the way the experiment prints it: n, energy, depth, distance.
+			cells := analysis.NewTable("n", "energy", "depth", "distance")
+			cells.AddRow(row[:4]...)
+			want = append(want, strings.Split(strings.TrimSpace(cells.CSV()), "\n")[1])
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		if len(line) > 0 && line[0] >= '0' && line[0] <= '9' && strings.Count(line, ",") == 3 {
+			got = append(got, line)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("components rows differ from the registry's bound sweep rows\ngot  %q\nwant %q", got, want)
+	}
+}
+
 // TestAllExperimentsCriticalPath runs every experiment in quick mode with
 // per-measurement critical-path verification: each measurement's recorded
 // event stream must reconstruct a depth chain of exactly Depth hops and a
@@ -155,9 +182,7 @@ func TestAllExperimentsCriticalPath(t *testing.T) {
 	}
 	for _, e := range experiments.All() {
 		t.Run(e.Name, func(t *testing.T) {
-			e.Run(testConfig(4, func(c *experiments.Config) {
-				c.H = harness.New(1, harness.WithWorkers(4), harness.WithCriticalPathCheck())
-			}))
+			runByName(t, e.Name, false, harness.WithWorkers(2), harness.WithCriticalPathCheck())
 		})
 	}
 }
@@ -274,7 +299,7 @@ func TestSweepListMode(t *testing.T) {
 		t.Fatalf("exit = %d", code)
 	}
 	if !strings.Contains(out, "bounds/scan") {
-		t.Errorf("sweep list missing table1/scan:\n%s", out)
+		t.Errorf("sweep list missing bounds/scan:\n%s", out)
 	}
 }
 

@@ -111,45 +111,33 @@ func registerBackendSweeps(reg *harness.Registry, quick bool) {
 	})
 }
 
-// Column indices of the bounds/backend-sort row shape, exported for claim
-// definitions.
-const (
-	BackendColN         = 0
-	BackendColIdealE    = 1
-	BackendColMeshE     = 2
-	BackendColTorusE    = 3
-	BackendColInflation = 4
-	BackendColMatch     = 5
-)
-
-// runBackend renders the finite-hardware backend comparison for
-// spatialbench: the Table I sort on the ideal grid vs a folded
-// backendFabricSide² mesh and torus, with the provable fold-inflation
-// bound and the answer-invariance check, plus the link-load concentration
-// of the fixed fabric.
-func runBackend(cfg Config) {
-	ns := sizes(cfg.Quick, 256, 1024, 4096, 16384)
-	rows := cfg.H.Sweep("backend", len(ns), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i]
-		vals := workload.Array(workload.Random, n, env.Rng)
-		block := backendFoldBlock(n)
-		im, iLink, ih := backendSortRun(machine.Ideal(), n, vals, env)
-		mm, mLink, mh := backendSortRun(machine.Mesh(backendFabricSide, backendFabricSide, block), n, vals, env)
-		tm, _, th := backendSortRun(machine.Torus(backendFabricSide, backendFabricSide, block), n, vals, env)
-		match := "DIVERGED"
-		if ih == mh && mh == th {
-			match = "ok"
-		}
-		inflation := float64(im.Energy) / (float64(block) * float64(mm.Energy+2*mm.Messages))
-		return harness.One(n, block, float64(im.Energy), float64(mm.Energy), float64(tm.Energy),
-			inflation, float64(mLink)/float64(iLink), match)
-	}, harness.WithCongestion())
+// renderBackend renders the finite-hardware backend comparison: the
+// Table I sort on the ideal grid vs a folded backendFabricSide² mesh and
+// torus, with the provable fold-inflation bound and the answer-invariance
+// check from bounds/backend-sort, and the link-load concentration of the
+// fixed fabric from bounds/backend-congestion ("-" past its last size).
+func renderBackend(p *page) {
+	loadInflation := make(map[int]float64)
+	for _, r := range p.rows("bounds/backend-congestion") {
+		loadInflation[r[0].(int)] = cellF(r[5])
+	}
 	t := analysis.NewTable("n", "fold block", "ideal energy", "mesh energy", "torus energy",
 		"E_i/(f*(E_m+2M))", "link-load inflation", "answers")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintf(cfg.Out, "\nfabric: %dx%d physical PEs; fold block scales with the layout side so the layout fills exactly one pane\n",
+	for _, r := range p.rows("bounds/backend-sort") {
+		n := r[0].(int)
+		load, ok := loadInflation[n]
+		if !ok {
+			load = math.NaN()
+		}
+		match := "DIVERGED"
+		if cellF(r[5]) == 1 {
+			match = "ok"
+		}
+		t.AddRow(n, backendFoldBlock(n), r[1], r[2], r[3], r[4], load, match)
+	}
+	p.emit(t)
+	fmt.Fprintf(p.Out, "\nfabric: %dx%d physical PEs; fold block scales with the layout side so the layout fills exactly one pane\n",
 		backendFabricSide, backendFabricSide)
-	fmt.Fprintln(cfg.Out, "expected shape: E_torus <= E_mesh <= E_ideal <= f*(E_mesh + 2*messages); answers identical on every fabric;")
-	fmt.Fprintln(cfg.Out, "link-load inflation grows with n (the same traffic squeezes through a fixed number of physical links)")
+	fmt.Fprintln(p.Out, "expected shape: E_torus <= E_mesh <= E_ideal <= f*(E_mesh + 2*messages); answers identical on every fabric;")
+	fmt.Fprintln(p.Out, "link-load inflation grows with n (the same traffic squeezes through a fixed number of physical links)")
 }

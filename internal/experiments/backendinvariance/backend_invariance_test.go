@@ -30,15 +30,11 @@ import (
 // DistBefore/After, EnergyCum) may differ, so the stream hash below folds
 // in everything except them.
 
-// runAllExperiments executes every registered experiment in quick mode on a
+// runAllExperiments renders every registered experiment in quick mode on a
 // fresh runner built from opts and returns the concatenated CSV output.
 func runAllExperiments(opts ...harness.Option) string {
 	var buf bytes.Buffer
-	cfg := experiments.Config{Quick: true, CSV: true, Out: &buf, H: harness.New(1, opts...)}
-	for _, e := range experiments.All() {
-		fmt.Fprintf(&buf, "== %s ==\n", e.Name)
-		e.Run(cfg)
-	}
+	experiments.Run(harness.New(1, opts...), experiments.Config{Quick: true, CSV: true, Out: &buf}, experiments.All()...)
 	return buf.String()
 }
 

@@ -1,73 +1,87 @@
-// Package experiments defines the paper's evaluation experiments — Table I
-// and the per-lemma/figure cost comparisons — as code shared by every
-// driver: cmd/spatialbench renders them as tables, and internal/bounds
-// replays the named measurement sweeps (see sweeps.go) to machine-check
-// the claimed Θ/O bounds.
+// Package experiments defines the paper's evaluation — Table I and the
+// per-lemma/figure cost comparisons — once, as the named measurement
+// sweeps of BoundSweeps (sweeps.go). Two drivers read them:
+// internal/bounds fits its machine-checked Θ/O claims to the bounds/*
+// sweeps, and cmd/spatialbench renders the experiments below as tables.
+// An experiment measures nothing itself: it declares the registered
+// sweeps it reads, and Run measures each of them once.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/collectives"
-	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/order"
-	"repro/internal/pram"
-	"repro/internal/sortnet"
-	"repro/internal/spmv"
-	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
-// Every experiment decomposes into independent measurement points —
-// (sweep x problem size x algorithm variant) — executed through the
-// config's harness.Runner: points fan out across workers, lease pooled
-// machines (machine.Reset recycles the grid in place), and their rows are
-// collected back in point order. Each point draws its workload from an RNG
-// seeded by (base seed, sweep name, point index), so the emitted tables
-// are byte-identical for any -parallel value.
+// Every sweep decomposes into independent measurement points — (problem
+// size x algorithm variant) — executed through a harness.Runner: points
+// fan out across workers, lease pooled machines (machine.Reset recycles
+// the grid in place), and their rows are collected back in point order.
+// Each point draws its workload from an RNG seeded by (base seed, sweep
+// name, point index), so the rendered tables are byte-identical for any
+// -parallel value and show exactly the points the conformance gate
+// checks.
 
-// Config carries one driver invocation's settings: sweep sizes, output
-// encoding and destination, and the harness runner the sweeps execute on.
+// Config carries one rendering's settings: the sweep sizes and the output
+// encoding and destination.
 type Config struct {
-	Quick bool      // smaller problem sizes
+	Quick bool      // the quick registry's smaller problem sizes
 	CSV   bool      // emit CSV instead of text tables
 	JSON  bool      // emit JSON instead of text tables
 	Out   io.Writer // experiment output
-	H     *harness.Runner
 }
 
-// Experiment is one named evaluation artifact reproduction.
+// Experiment is one named evaluation artifact reproduction: tables
+// rendered from the rows of registered sweeps.
 type Experiment struct {
 	Name     string
 	Artifact string // the paper artifact it reproduces
 	Desc     string
-	Run      func(cfg Config)
+	Sweeps   []string // the BoundSweeps sweeps its tables read
+	render   func(p *page)
 }
 
 // All returns every experiment in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Table I", "energy/depth/distance scaling of scan, sort, selection, SpMV", runTable1},
-		{"collectives", "Lemma IV.1, Cor. IV.2", "broadcast and reduce bounds on h x w subgrids", runCollectives},
-		{"scan-ablation", "Fig. 1 / Sec. IV-C", "Z-order scan vs binary-tree scan vs sequential scan", runScanAblation},
-		{"reduce-ablation", "Sec. IV-B", "multicast-free reduce vs binary-tree reduce (log-factor energy win)", runReduceAblation},
-		{"sort-ablation", "Fig. 2, Lemmas V.3-V.4, Thm V.8", "2-D mergesort vs bitonic network vs mesh shearsort", runSortAblation},
-		{"components", "Lemmas V.5-V.7", "all-pairs sort, rank selection in sorted arrays, 2-D merge bounds", runComponents},
-		{"lowerbound", "Lemma V.1, Cor. V.2", "permutation energy lower bound and sorting optimality", runLowerBound},
-		{"selection", "Thm VI.3", "randomized selection: linear energy, polylog depth, vs sorting", runSelection},
-		{"pram", "Lemmas VII.1-VII.2", "EREW and CRCW simulation per-step costs", runPRAM},
-		{"spmv-ablation", "Thm VIII.2 / Sec. VIII", "direct SpMV vs PRAM-simulated SpMV across matrix families", runSpMVAblation},
-		{"treefix", "Sec. II-A vs [38]", "Euler-tour treefix sums at Theta(n) energy vs the tree-scan baseline", runTreefix},
-		{"depth-scaling", "Table I depth column", "fitted polylog degrees of depth for all four primitives", runDepthScaling},
-		{"congestion", "extension", "max per-link load (XY routing) of scans, sorts and broadcast", runCongestion},
-		{"graph", "composed workloads", "BFS, connected components, PageRank, triangles on the primitives", runGraph},
-		{"backend", "extension", "Table I sort folded onto finite mesh/torus fabrics: energy, inflation bound, link load", runBackend},
+		{"table1", "Table I", "energy/depth/distance scaling of scan, sort, selection, SpMV",
+			[]string{"bounds/scan", "bounds/sort", "bounds/selection", "bounds/spmv"}, renderTable1},
+		{"collectives", "Lemma IV.1, Cor. IV.2", "broadcast and reduce bounds on h x w subgrids",
+			[]string{"bounds/collectives"}, renderCollectives},
+		{"scan-ablation", "Fig. 1 / Sec. IV-C", "Z-order scan vs binary-tree scan vs sequential scan",
+			[]string{"bounds/scan-ablation"}, renderScanAblation},
+		{"reduce-ablation", "Sec. IV-B", "multicast-free reduce vs binary-tree reduce (log-factor energy win)",
+			[]string{"bounds/reduce-ablation"}, renderReduceAblation},
+		{"sort-ablation", "Fig. 2, Lemmas V.3-V.4, Thm V.8", "2-D mergesort vs bitonic network vs mesh shearsort",
+			[]string{"bounds/sort-ablation"}, renderSortAblation},
+		{"components", "Lemmas V.5-V.7", "all-pairs sort, rank selection in sorted arrays, 2-D merge bounds",
+			[]string{"bounds/all-pairs", "bounds/rank-select", "bounds/merge"}, renderComponents},
+		{"lowerbound", "Lemma V.1, Cor. V.2", "permutation energy lower bound and sorting optimality",
+			[]string{"lowerbound/permutation", "bounds/lowerbound"}, renderLowerBound},
+		{"selection", "Thm VI.3", "randomized selection: linear energy, polylog depth, vs sorting",
+			[]string{"bounds/selection-vs-sort"}, renderSelection},
+		{"pram", "Lemmas VII.1-VII.2", "EREW and CRCW simulation per-step costs",
+			[]string{"pram"}, renderPRAM},
+		{"spmv-ablation", "Thm VIII.2 / Sec. VIII", "direct SpMV vs PRAM-simulated SpMV across matrix families",
+			[]string{"spmv-ablation/direct", "bounds/spmv-vs-pram"}, renderSpMVAblation},
+		{"treefix", "Sec. II-A vs [38]", "Euler-tour treefix sums at Theta(n) energy vs the tree-scan baseline",
+			[]string{"bounds/treefix"}, renderTreefix},
+		{"depth-scaling", "Table I depth column", "fitted polylog degrees of depth for all four primitives",
+			[]string{"bounds/scan", "bounds/selection", "bounds/sort", "bounds/spmv"}, renderDepthScaling},
+		{"congestion", "extension", "max per-link load (XY routing) of scans, sorts and broadcast",
+			[]string{"congestion"}, renderCongestion},
+		{"graph", "composed workloads", "BFS, connected components, PageRank, triangles on the primitives",
+			[]string{"bounds/graph-bfs", "bounds/graph-cc", "bounds/graph-pagerank", "bounds/graph-triangles"}, renderGraph},
+		{"backend", "extension", "Table I sort folded onto finite mesh/torus fabrics: energy, inflation bound, link load",
+			[]string{"bounds/backend-sort", "bounds/backend-congestion"}, renderBackend},
 	}
 }
 
@@ -79,6 +93,60 @@ func ByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// Run renders exps in order, each under a header. The sweeps they read
+// are all enqueued on r before the first table is rendered, each once
+// however many experiments read it, so they overlap on the runner's pool
+// the way bounds.Check overlaps the sweeps of its claims.
+func Run(r *harness.Runner, cfg Config, exps ...Experiment) {
+	reg := BoundSweeps(cfg.Quick)
+	p := &page{Config: cfg, sweeps: make(map[string]*harness.Sweep)}
+	for _, e := range exps {
+		for _, name := range e.Sweeps {
+			if p.sweeps[name] != nil {
+				continue
+			}
+			s, err := reg.Go(r, name)
+			if err != nil {
+				panic(err) // All declares registered sweeps only (TestDeclaredSweepsResolve)
+			}
+			p.sweeps[name] = s
+		}
+	}
+	for _, e := range exps {
+		fmt.Fprintf(cfg.Out, "=== %s — %s ===\n%s\n\n", e.Name, e.Artifact, e.Desc)
+		p.declared = e.Sweeps
+		e.render(p)
+		fmt.Fprintln(cfg.Out)
+	}
+}
+
+// page is what a renderer writes to: the output settings plus the sweeps
+// its experiment declared.
+type page struct {
+	Config
+	sweeps   map[string]*harness.Sweep
+	declared []string
+}
+
+// rows waits for the named sweep and returns its rows in point order.
+func (p *page) rows(sweep string) []harness.Row {
+	if !slices.Contains(p.declared, sweep) {
+		panic("experiments: renderer reads undeclared sweep " + sweep)
+	}
+	return p.sweeps[sweep].Rows()
+}
+
+func (p *page) emit(t *analysis.Table) {
+	switch {
+	case p.JSON:
+		fmt.Fprint(p.Out, t.JSON())
+	case p.CSV:
+		fmt.Fprint(p.Out, t.CSV())
+	default:
+		fmt.Fprint(p.Out, t.String())
+	}
 }
 
 // placeFloats lays vals out on the given track, padding the remainder of
@@ -109,31 +177,15 @@ func squareFor(n int) grid.Rect {
 	return grid.Square(machine.Coord{}, side)
 }
 
-// tailExp is the scaling exponent between the last two sweep points. The
-// distance metric converges slowly (additive O(sqrt n) terms with large
-// constants dominate small sizes), so the tail is the honest estimate.
-func tailExp(pts []analysis.Point) float64 { return analysis.TailExponent(pts) }
-
-func emit(cfg Config, t *analysis.Table) {
-	switch {
-	case cfg.JSON:
-		fmt.Fprint(cfg.Out, t.JSON())
-	case cfg.CSV:
-		fmt.Fprint(cfg.Out, t.CSV())
-	default:
-		fmt.Fprint(cfg.Out, t.String())
-	}
-}
-
-// addRows copies harness rows into the table in sweep order.
+// addRows copies sweep rows into the table in point order.
 func addRows(t *analysis.Table, rows []harness.Row) {
 	for _, r := range rows {
 		t.AddRow(r...)
 	}
 }
 
-// cellF reads a numeric cell back out of a harness row (the fits reuse the
-// same values the table prints).
+// cellF reads a numeric cell back out of a sweep row (the fits and ratios
+// reuse the same values the tables print).
 func cellF(v any) float64 {
 	switch x := v.(type) {
 	case int:
@@ -143,8 +195,12 @@ func cellF(v any) float64 {
 	case float64:
 		return x
 	}
-	panic(fmt.Sprintf("spatialbench: non-numeric cell %T", v))
+	panic(fmt.Sprintf("experiments: non-numeric cell %T", v))
 }
+
+// cellI renders an integral cell that a sweep stores as float64 (depths,
+// distances) the way the machine reports it.
+func cellI(v any) int64 { return int64(cellF(v)) }
 
 // colPoints extracts (rows[i][nCol], rows[i][costCol]) as fit points.
 func colPoints(rows []harness.Row, nCol, costCol int) []analysis.Point {
@@ -157,428 +213,168 @@ func colPoints(rows []harness.Row, nCol, costCol int) []analysis.Point {
 
 // ---------------------------------------------------------------- table1 --
 
-// runTable1 reproduces Table I: for each primitive, sweep n, measure
-// energy/depth/distance, fit the scaling exponents and compare them with
-// the paper's Theta bounds. The four primitive sweeps run overlapped on
-// the shared worker pool.
-func runTable1(cfg Config) {
-	type prim struct {
-		name string
-		ns   []int
-		run  func(n int, env *harness.Env) machine.Metrics
-	}
-	prims := []prim{
-		{"scan", sizes(cfg.Quick, 256, 1024, 4096, 16384, 65536), MeasureScan},
-		{"sort", sizes(cfg.Quick, 256, 1024, 4096, 16384), MeasureSort},
-		{"selection", sizes(cfg.Quick, 256, 1024, 4096, 16384), MeasureSelection},
-		{"spmv", sizes(cfg.Quick, 256, 1024, 4096, 16384), MeasureSpMV},
-	}
-
-	sweeps := make([]*harness.Sweep, len(prims))
-	for i, p := range prims {
-		p := p
-		sweeps[i] = cfg.H.Go("table1/"+p.name, len(p.ns), func(j int, env *harness.Env) []harness.Row {
-			mm := p.run(p.ns[j], env)
-			return harness.One(p.name, p.ns[j], float64(mm.Energy), float64(mm.Depth), float64(mm.Distance))
-		})
-	}
-
+// renderTable1 reproduces Table I: for each primitive, energy/depth/
+// distance over n, the fitted scaling exponents and their comparison with
+// the paper's Theta bounds.
+func renderTable1(p *page) {
+	prims := []string{"scan", "sort", "selection", "spmv"}
 	t := analysis.NewTable("problem", "n", "energy", "depth", "distance")
 	eFit := make([]float64, len(prims))
 	dTail := make([]float64, len(prims))
-	for i := range prims {
-		rows := sweeps[i].Rows()
-		addRows(t, rows)
-		eFit[i] = analysis.FitExponent(colPoints(rows, 1, 2))
-		dTail[i] = tailExp(colPoints(rows, 1, 4))
+	for i, name := range prims {
+		rows := p.rows("bounds/" + name)
+		for _, r := range rows {
+			t.AddRow(append(harness.Row{name}, r...)...)
+		}
+		eFit[i] = analysis.FitExponent(colPoints(rows, 0, 1))
+		// The distance metric converges slowly (additive O(sqrt n) terms
+		// with large constants dominate small sizes), so the tail exponent
+		// is the honest estimate.
+		dTail[i] = analysis.TailExponent(colPoints(rows, 0, 3))
 	}
 
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out)
+	p.emit(t)
+	fmt.Fprintln(p.Out)
 	v := analysis.NewTable("problem", "paper energy", "measured exp", "verdict", "paper distance", "tail exp", "verdict")
 	v.AddRow("scan", "Theta(n)", eFit[0], analysis.Verdict(eFit[0], 1.0, 0.15), "Theta(sqrt n)", dTail[0], analysis.Verdict(dTail[0], 0.5, 0.3))
 	v.AddRow("sort", "Theta(n^1.5)", eFit[1], analysis.Verdict(eFit[1], 1.5, 0.25), "Theta(sqrt n)", dTail[1], analysis.Verdict(dTail[1], 0.5, 0.3))
 	v.AddRow("selection", "Theta(n)", eFit[2], analysis.Verdict(eFit[2], 1.0, 0.2), "Theta(sqrt n)", dTail[2], analysis.Verdict(dTail[2], 0.5, 0.3))
 	v.AddRow("spmv", "Theta(m^1.5)", eFit[3], analysis.Verdict(eFit[3], 1.5, 0.25), "Theta(sqrt m)", dTail[3], analysis.Verdict(dTail[3], 0.5, 0.3))
-	fmt.Fprint(cfg.Out, v.String())
-	fmt.Fprintln(cfg.Out, "\ndepth values above are O(log n), O(log^3 n), O(log^2 n), O(log^3 n) respectively (polylog; see the per-experiment sections);")
-	fmt.Fprintln(cfg.Out, "distance uses the tail exponent — additive O(sqrt n) terms with large constants dominate the small end of the sweep")
+	fmt.Fprint(p.Out, v.String())
+	fmt.Fprintln(p.Out, "\ndepth values above are O(log n), O(log^3 n), O(log^2 n), O(log^3 n) respectively (polylog; see the per-experiment sections);")
+	fmt.Fprintln(p.Out, "distance uses the tail exponent — additive O(sqrt n) terms with large constants dominate the small end of the sweep")
 }
 
 // ----------------------------------------------------------- collectives --
 
-// runCollectives validates Lemma IV.1 / Corollary IV.2 on square, column
-// and general h x w subgrids: energy within a constant of hw + h log h,
-// logarithmic depth, O(h + w) distance.
-func runCollectives(cfg Config) {
-	shapes := [][2]int{{32, 32}, {64, 64}, {128, 128}, {1024, 1}, {4096, 1}, {256, 16}, {16, 256}, {512, 8}}
-	if cfg.Quick {
-		shapes = shapes[:5]
-	}
-	rows := cfg.H.Sweep("collectives", len(shapes), func(i int, env *harness.Env) []harness.Row {
-		h, w := shapes[i][0], shapes[i][1]
-		r := grid.Rect{Origin: machine.Coord{}, H: h, W: w}
-		bm := env.Measure(func(m *machine.Machine) {
-			m.Set(r.Origin, "v", 1.0)
-			collectives.Broadcast(m, r, "v")
-		})
-		rm := env.Measure(func(m *machine.Machine) {
-			placeFloats(m, grid.RowMajor(r), "v", nil, 1)
-			collectives.Reduce(m, r, "v", collectives.Add)
-		})
-		bound := float64(h*w) + float64(maxInt(h, w))*log2f(maxInt(h, w))
-		return []harness.Row{
-			{"broadcast", h, w, float64(bm.Energy), bound, float64(bm.Energy) / bound, bm.Depth, bm.Distance},
-			{"reduce", h, w, float64(rm.Energy), bound, float64(rm.Energy) / bound, rm.Depth, rm.Distance},
-		}
-	})
+// renderCollectives validates Lemma IV.1 / Corollary IV.2 on square,
+// column and general h x w subgrids: energy within a constant of
+// hw + h log h, logarithmic depth, O(h + w) distance.
+func renderCollectives(p *page) {
 	t := analysis.NewTable("op", "h", "w", "energy", "hw+h*log(h)", "ratio", "depth", "distance")
-	addRows(t, rows)
-	emit(cfg, t)
+	for _, r := range p.rows("bounds/collectives") {
+		h, w := r[3], r[4]
+		bound := collectivesBound(h.(int), w.(int))
+		t.AddRow("broadcast", h, w, r[5], bound, r[1], r[6], r[7])
+		t.AddRow("reduce", h, w, r[8], bound, r[2], r[9], r[10])
+	}
+	p.emit(t)
 }
 
 // ---------------------------------------------------------- scan ablation --
 
-// runScanAblation compares the three scan designs of Section IV-C. The
+// renderScanAblation compares the three scan designs of Section IV-C. The
 // Z-order scan must match the sequential scan's Theta(n) energy while
 // keeping the tree scan's O(log n) depth; the tree scan pays an extra
 // Theta(log n) energy factor.
-func runScanAblation(cfg Config) {
-	ns := sizes(cfg.Quick, 256, 1024, 4096, 16384, 65536)
-	rows := cfg.H.Sweep("scan-ablation", len(ns), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i]
-		vals := workload.Array(workload.Random, n, env.Rng)
-		z := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.ZOrder(r), "v", vals, 0)
-			collectives.Scan(m, r, "v", collectives.Add, 0.0)
-		})
-		tr := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-			collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
-		})
-		sq := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.ZOrder(r), "v", vals, 0)
-			collectives.ScanSequential(m, grid.ZOrder(r), "v", collectives.Add)
-		})
-		return harness.One(n, float64(z.Energy), float64(tr.Energy), float64(sq.Energy),
-			float64(tr.Energy)/float64(z.Energy), z.Depth, tr.Depth, sq.Depth)
-	})
+func renderScanAblation(p *page) {
 	t := analysis.NewTable("n", "zorder energy", "tree energy", "seq energy", "tree/zorder", "zorder depth", "tree depth", "seq depth")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: tree/zorder ratio grows ~log n; zorder and seq energies stay within a constant; seq depth = n-1")
+	for _, r := range p.rows("bounds/scan-ablation") {
+		t.AddRow(r[0], r[1], r[2], r[3], cellF(r[2])/cellF(r[1]), r[4], r[5], r[6])
+	}
+	p.emit(t)
+	fmt.Fprintln(p.Out, "\nexpected shape: tree/zorder ratio grows ~log n; zorder and seq energies stay within a constant; seq depth = n-1")
 }
 
 // -------------------------------------------------------- reduce ablation --
 
-func runReduceAblation(cfg Config) {
-	ss := sizes(cfg.Quick, 16, 32, 64, 128, 256)
-	rows := cfg.H.Sweep("reduce-ablation", len(ss), func(i int, env *harness.Env) []harness.Row {
-		side := ss[i]
-		r := grid.Square(machine.Coord{}, side)
-		two := env.Measure(func(m *machine.Machine) {
-			placeFloats(m, grid.RowMajor(r), "v", nil, 1)
-			collectives.Reduce(m, r, "v", collectives.Add)
-		})
-		tr := env.Measure(func(m *machine.Machine) {
-			placeFloats(m, grid.RowMajor(r), "v", nil, 1)
-			collectives.ReduceTrack(m, grid.RowMajor(r), "v", collectives.Add)
-		})
-		return harness.One(side*side, float64(two.Energy), float64(tr.Energy),
-			float64(tr.Energy)/float64(two.Energy), two.Depth, tr.Depth)
-	})
+func renderReduceAblation(p *page) {
 	t := analysis.NewTable("n", "2D reduce energy", "tree reduce energy", "ratio", "2D depth", "tree depth")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: ratio grows ~log n (Section IV-B's Theta(log n) energy improvement at equal O(log n) depth)")
+	for _, r := range p.rows("bounds/reduce-ablation") {
+		t.AddRow(r[0], r[1], r[2], cellF(r[2])/cellF(r[1]), r[3], r[4])
+	}
+	p.emit(t)
+	fmt.Fprintln(p.Out, "\nexpected shape: ratio grows ~log n (Section IV-B's Theta(log n) energy improvement at equal O(log n) depth)")
 }
 
 // ---------------------------------------------------------- sort ablation --
 
-// runSortAblation is the sorting comparison behind Figure 2 and Section
-// V-C's discussion: bitonic pays a log-factor more energy than mergesort
-// asymptotically (normalized energies diverge), and the mesh baseline pays
-// polynomial depth.
-func runSortAblation(cfg Config) {
-	ns := sizes(cfg.Quick, 256, 1024, 4096, 16384)
-	rows := cfg.H.Sweep("sort-ablation", len(ns), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i]
-		vals := workload.Array(workload.Random, n, env.Rng)
-		ms := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-			core.MergeSort(m, r, "v", order.Float64)
-		})
-		bs := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-			sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
-		})
-		sh := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-			sortnet.Shearsort(m, r, "v", order.Float64)
-		})
-		n15 := float64(n) * sqrtf(n)
-		return harness.One(n, float64(ms.Energy), float64(bs.Energy), float64(sh.Energy),
-			float64(ms.Energy)/n15, float64(bs.Energy)/n15, ms.Depth, bs.Depth, sh.Depth)
-	})
+// renderSortAblation is the sorting comparison behind Figure 2 and
+// Section V-C's discussion: bitonic pays a log-factor more energy than
+// mergesort asymptotically (normalized energies diverge), and the mesh
+// baseline pays polynomial depth.
+func renderSortAblation(p *page) {
+	rows := p.rows("bounds/sort-ablation")
 	t := analysis.NewTable("n", "merge energy", "bitonic energy", "mesh energy",
 		"merge E/n^1.5", "bitonic E/n^1.5", "merge depth", "bitonic depth", "mesh depth")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintf(cfg.Out, "\nmergesort energy exponent: %.3f (paper: 1.5)   bitonic energy exponent: %.3f (paper: 1.5 + log factor)\n",
+	for _, r := range rows {
+		n15 := cellF(r[0]) * math.Sqrt(cellF(r[0]))
+		t.AddRow(r[0], r[1], r[2], r[3], cellF(r[1])/n15, cellF(r[2])/n15, cellI(r[4]), cellI(r[5]), cellI(r[6]))
+	}
+	p.emit(t)
+	fmt.Fprintf(p.Out, "\nmergesort energy exponent: %.3f (paper: 1.5)   bitonic energy exponent: %.3f (paper: 1.5 + log factor)\n",
 		analysis.FitExponent(colPoints(rows, 0, 1)), analysis.FitExponent(colPoints(rows, 0, 2)))
-	fmt.Fprintln(cfg.Out, "expected shape: bitonic E/n^1.5 grows with n while mergesort E/n^1.5 falls toward a constant; mesh depth ~ sqrt(n) log n vs polylog for the others")
+	fmt.Fprintln(p.Out, "expected shape: bitonic E/n^1.5 grows with n while mergesort E/n^1.5 falls toward a constant; mesh depth ~ sqrt(n) log n vs polylog for the others")
 }
 
 // ------------------------------------------------------------- components --
 
-func runComponents(cfg Config) {
-	// All-Pairs Sort (Lemma V.5): O(n^{5/2}) energy, O(log n) depth.
-	apNs := sizes(cfg.Quick, 16, 64, 256)
-	apSweep := cfg.H.Go("components/all-pairs", len(apNs), func(i int, env *harness.Env) []harness.Row {
-		n := apNs[i]
-		vals := workload.Array(workload.Random, n, env.Rng)
-		mm := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			tr := grid.RowMajor(r)
-			placeFloats(m, tr, "v", vals, 0)
-			scratch := r.RightOf(core.AllPairsScratchSide(n), core.AllPairsScratchSide(n))
-			core.AllPairsSort(m, tr, "v", n, scratch, order.Float64)
-		})
-		return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
-	})
-
-	// Rank selection in two sorted arrays (Lemma V.6).
-	rsNs := sizes(cfg.Quick, 1024, 4096, 16384)
-	rsSweep := cfg.H.Go("components/rank-select", len(rsNs), func(i int, env *harness.Env) []harness.Row {
-		n := rsNs[i]
-		half := n / 2
-		a := workload.Array(workload.Sorted, half, env.Rng)
-		b := workload.Array(workload.Sorted, half, env.Rng)
-		mm := env.Measure(func(m *machine.Machine) {
-			ra := squareFor(half)
-			rb := grid.Square(machine.Coord{Row: 0, Col: ra.W + 1}, ra.W)
-			tA := grid.Slice(grid.RowMajor(ra), 0, half)
-			tB := grid.Slice(grid.RowMajor(rb), 0, half)
-			placeFloats(m, tA, "v", a, 0)
-			placeFloats(m, tB, "v", b, 0)
-			scratch := grid.Square(machine.Coord{Row: ra.H + 1, Col: 0}, core.SelectScratchSide(n))
-			core.SelectInSorted(m, tA, tB, "v", n/2, scratch, order.Float64)
-		})
-		return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
-	})
-
-	// 2-D Merge (Lemma V.7): O(n^{3/2}) energy, O(log^2 n) depth.
-	mgNs := sizes(cfg.Quick, 512, 2048, 8192)
-	mgSweep := cfg.H.Go("components/merge", len(mgNs), func(i int, env *harness.Env) []harness.Row {
-		n := mgNs[i]
-		quarter := n / 2
-		a := workload.Array(workload.Sorted, quarter, env.Rng)
-		b := workload.Array(workload.Sorted, quarter, env.Rng)
-		mm := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, 2*n)
-			q := r.Quadrants()
-			tA := grid.Slice(grid.RowMajor(q[0]), 0, quarter)
-			tB := grid.Slice(grid.RowMajor(q[1]), 0, quarter)
-			placeFloats(m, tA, "v", a, 0)
-			placeFloats(m, tB, "v", b, 0)
-			core.Merge(m, tA, tB, "v", r.TopHalf(), order.Float64)
-		})
-		return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
-	})
-
-	apRows := apSweep.Rows()
-	ap := analysis.NewTable("all-pairs n", "energy", "depth", "distance")
-	addRows(ap, apRows)
-	emit(cfg, ap)
-	fmt.Fprintf(cfg.Out, "all-pairs energy exponent: %.3f (paper: 2.5)\n\n", analysis.FitExponent(colPoints(apRows, 0, 1)))
-
-	rsRows := rsSweep.Rows()
-	rs := analysis.NewTable("rank-select n", "energy", "depth", "distance")
-	addRows(rs, rsRows)
-	emit(cfg, rs)
-	fmt.Fprintf(cfg.Out, "rank-select energy exponent: %.3f (paper: <= 1.25)\n\n", analysis.FitExponent(colPoints(rsRows, 0, 1)))
-
-	mgRows := mgSweep.Rows()
-	mg := analysis.NewTable("merge n", "energy", "depth", "distance")
-	addRows(mg, mgRows)
-	emit(cfg, mg)
-	fmt.Fprintf(cfg.Out, "merge energy exponent: %.3f (paper: 1.5)\n", analysis.FitExponent(colPoints(mgRows, 0, 1)))
+// renderComponents shows the component lemmas: All-Pairs Sort (Lemma V.5,
+// O(n^{5/2}) energy, O(log n) depth), rank selection in two sorted arrays
+// (Lemma V.6) and the 2-D merge (Lemma V.7, O(n^{3/2}) energy, O(log^2 n)
+// depth).
+func renderComponents(p *page) {
+	parts := []struct{ sweep, label, paper string }{
+		{"bounds/all-pairs", "all-pairs", "2.5"},
+		{"bounds/rank-select", "rank-select", "<= 1.25"},
+		{"bounds/merge", "merge", "1.5"},
+	}
+	for i, c := range parts {
+		rows := p.rows(c.sweep)
+		t := analysis.NewTable(c.label+" n", "energy", "depth", "distance")
+		addRows(t, rows)
+		p.emit(t)
+		fmt.Fprintf(p.Out, "%s energy exponent: %.3f (paper: %s)\n", c.label, analysis.FitExponent(colPoints(rows, 0, 1)), c.paper)
+		if i < len(parts)-1 {
+			fmt.Fprintln(p.Out)
+		}
+	}
 }
 
 // -------------------------------------------------------------- lowerbound --
 
-func runLowerBound(cfg Config) {
-	ns := sizes(cfg.Quick, 1024, 4096, 16384)
-	kinds := workload.PermKinds()
-	permSweep := cfg.H.Go("lowerbound/permutation", len(ns)*len(kinds), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i/len(kinds)]
-		kind := kinds[i%len(kinds)]
-		perm := workload.Permutation(kind, n, env.Rng)
-		mm := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			tr := grid.RowMajor(r)
-			placeFloats(m, tr, "v", nil, 1)
-			core.Permute(m, tr, "v", tr, "v", perm)
-		})
-		return harness.One(n, string(kind), float64(mm.Energy), float64(mm.Energy)/(float64(n)*sqrtf(n)))
-	})
+func renderLowerBound(p *page) {
+	t := analysis.NewTable("n", "permutation", "energy", "energy/n^1.5")
+	addRows(t, p.rows("lowerbound/permutation"))
+	p.emit(t)
 
 	// Sorting a reversal-permuted input must cost within a constant of the
 	// permutation itself (Corollary V.2: the mergesort is energy-optimal).
-	sortNs := sizes(cfg.Quick, 1024, 4096)
-	sortSweep := cfg.H.Go("lowerbound/sort-vs-perm", len(sortNs), func(i int, env *harness.Env) []harness.Row {
-		n := sortNs[i]
-		perm := workload.Permutation(workload.PermReversal, n, env.Rng)
-		pe := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			tr := grid.RowMajor(r)
-			placeFloats(m, tr, "v", nil, 1)
-			core.Permute(m, tr, "v", tr, "v", perm)
-		})
-		vals := workload.Array(workload.Reversed, n, env.Rng)
-		se := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-			core.MergeSort(m, r, "v", order.Float64)
-		})
-		return harness.One(n, float64(pe.Energy), float64(se.Energy), float64(se.Energy)/float64(pe.Energy))
-	})
-
-	t := analysis.NewTable("n", "permutation", "energy", "energy/n^1.5")
-	addRows(t, permSweep.Rows())
-	emit(cfg, t)
-
-	fmt.Fprintln(cfg.Out)
+	fmt.Fprintln(p.Out)
 	c := analysis.NewTable("n", "reversal energy", "mergesort-on-reversed energy", "sort/permutation")
-	addRows(c, sortSweep.Rows())
-	emit(cfg, c)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: reversal ~ n^1.5/2; identity = 0; sort/permutation ratio bounded (sorting is energy-optimal up to constants)")
+	for _, r := range p.rows("bounds/lowerbound") {
+		c.AddRow(r[0], r[3], r[4], r[2])
+	}
+	p.emit(c)
+	fmt.Fprintln(p.Out, "\nexpected shape: reversal ~ n^1.5/2; identity = 0; sort/permutation ratio bounded (sorting is energy-optimal up to constants)")
 }
 
 // --------------------------------------------------------------- selection --
 
-func runSelection(cfg Config) {
-	ns := sizes(cfg.Quick, 1024, 4096, 16384, 65536)
-	rows := cfg.H.Sweep("selection", len(ns), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i]
-		vals := workload.Array(workload.Random, n, env.Rng)
-		sel := env.Measure(func(m *machine.Machine) {
-			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-			core.Select(m, r, "v", n/2, order.Float64, env.Rng)
-		})
-		var sortE int64
-		if n <= 16384 {
-			srt := env.Measure(func(m *machine.Machine) {
-				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-				core.MergeSort(m, r, "v", order.Float64)
-			})
-			sortE = srt.Energy
-		}
-		ratio := 0.0
-		if sortE > 0 {
-			ratio = float64(sortE) / float64(sel.Energy)
-		}
-		return harness.One(n, float64(sel.Energy), float64(sortE), ratio, sel.Depth, float64(sel.Energy)/float64(n))
-	})
+func renderSelection(p *page) {
+	rows := p.rows("bounds/selection-vs-sort")
 	t := analysis.NewTable("n", "select energy", "sort energy", "sort/select", "select depth", "select energy/n")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintf(cfg.Out, "\nselection energy exponent: %.3f (paper: 1.0) — the sort/select gap grows ~sqrt(n) (polynomial separation, Section VI)\n",
+	for _, r := range rows {
+		t.AddRow(r[0], r[1], r[2], cellF(r[2])/cellF(r[1]), r[3], cellF(r[1])/cellF(r[0]))
+	}
+	p.emit(t)
+	fmt.Fprintf(p.Out, "\nselection energy exponent: %.3f (paper: 1.0) — the sort/select gap grows ~sqrt(n) (polynomial separation, Section VI)\n",
 		analysis.FitExponent(colPoints(rows, 0, 1)))
 }
 
 // -------------------------------------------------------------------- pram --
 
-func runPRAM(cfg Config) {
-	ps := sizes(cfg.Quick, 64, 256, 1024)
-	rows := cfg.H.Sweep("pram", len(ps), func(i int, env *harness.Env) []harness.Row {
-		p := ps[i]
-		bound := float64(p) * (sqrtf(p) + 1)
-		em := env.Measure(func(m *machine.Machine) {
-			sim := pram.New(m, pram.BroadcastWrite{P: p}, pram.CRCW, nil)
-			if err := sim.Run(); err != nil {
-				panic(err)
-			}
-		})
-		cm := env.Measure(func(m *machine.Machine) {
-			sim := pram.New(m, pram.ConcurrentRead{P: p}, pram.CRCW, []machine.Value{1.0})
-			if err := sim.Run(); err != nil {
-				panic(err)
-			}
-		})
-		n := 2 * p
-		treeProg := pram.TreeSum{N: n}
-		steps := float64(treeProg.Steps())
-		tm := env.Measure(func(m *machine.Machine) {
-			init := make([]machine.Value, n)
-			for i := range init {
-				init[i] = 1.0
-			}
-			sim := pram.New(m, treeProg, pram.EREW, init)
-			if err := sim.Run(); err != nil {
-				panic(err)
-			}
-		})
-		eBound := float64(p) * (sqrtf(p) + sqrtf(n)) * steps
-		return []harness.Row{
-			{"CRCW-write", p, float64(em.Energy), em.Depth, bound, float64(em.Energy) / bound},
-			{"CRCW-read", p, float64(cm.Energy), cm.Depth, bound, float64(cm.Energy) / bound},
-			{"EREW-treesum", p, float64(tm.Energy) / steps, float64(tm.Depth) / steps, eBound / steps, float64(tm.Energy) / eBound},
-		}
-	})
+func renderPRAM(p *page) {
 	t := analysis.NewTable("mode", "p", "energy/step", "depth/step", "p*(sqrt p + sqrt m)", "energy ratio")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: energy/step within a constant of p(sqrt p + sqrt m); EREW depth/step O(1); CRCW depth/step polylog(p)")
+	addRows(t, p.rows("pram"))
+	p.emit(t)
+	fmt.Fprintln(p.Out, "\nexpected shape: energy/step within a constant of p(sqrt p + sqrt m); EREW depth/step O(1); CRCW depth/step polylog(p)")
 }
 
 // ----------------------------------------------------------- spmv ablation --
 
-func runSpMVAblation(cfg Config) {
-	kinds := workload.MatrixKinds()
-	ns := sizes(cfg.Quick, 64, 256, 1024)
-	directSweep := cfg.H.Go("spmv-ablation/direct", len(kinds)*len(ns), func(i int, env *harness.Env) []harness.Row {
-		kind := kinds[i/len(ns)]
-		n := ns[i%len(ns)]
-		a := workload.SparseMatrix(kind, n, 4*n, env.Rng)
-		x := workload.Array(workload.Random, n, env.Rng)
-		dm := env.Measure(func(m *machine.Machine) {
-			if _, err := spmv.Multiply(m, a, x); err != nil {
-				panic(err)
-			}
-		})
-		return harness.One(string(kind), n, a.NNZ(), float64(dm.Energy), dm.Depth, dm.Distance)
-	})
-
-	// Direct vs PRAM-simulated (kept small: the CRCW simulation sorts per
-	// step).
-	vsNs := sizes(cfg.Quick, 16, 32, 64)
-	vsSweep := cfg.H.Go("spmv-ablation/vs-pram", len(vsNs), func(i int, env *harness.Env) []harness.Row {
-		n := vsNs[i]
-		a := workload.SparseMatrix(workload.MatUniform, n, 4*n, env.Rng)
-		x := workload.Array(workload.Random, n, env.Rng)
-		dm := env.Measure(func(m *machine.Machine) {
-			if _, err := spmv.Multiply(m, a, x); err != nil {
-				panic(err)
-			}
-		})
-		pm := env.Measure(func(m *machine.Machine) {
-			if _, err := spmv.MultiplyPRAM(m, a, x); err != nil {
-				panic(err)
-			}
-		})
-		return harness.One(n, a.NNZ(), dm.Depth, pm.Depth, dm.Distance, pm.Distance, float64(dm.Energy), float64(pm.Energy))
-	})
-
-	rows := directSweep.Rows()
+func renderSpMVAblation(p *page) {
+	rows := p.rows("spmv-ablation/direct")
 	t := analysis.NewTable("matrix", "n", "nnz", "direct energy", "direct depth", "direct distance")
 	addRows(t, rows)
 	var ePts []analysis.Point
@@ -587,158 +383,79 @@ func runSpMVAblation(cfg Config) {
 			ePts = append(ePts, analysis.Point{N: cellF(r[2]), Cost: cellF(r[3])})
 		}
 	}
-	emit(cfg, t)
-	fmt.Fprintf(cfg.Out, "\ndirect spmv energy exponent in nnz (uniform): %.3f (paper: 1.5)\n\n", analysis.FitExponent(ePts))
+	p.emit(t)
+	fmt.Fprintf(p.Out, "\ndirect spmv energy exponent in nnz (uniform): %.3f (paper: 1.5)\n\n", analysis.FitExponent(ePts))
 
 	c := analysis.NewTable("n", "nnz", "direct depth", "pram depth", "direct distance", "pram distance", "direct energy", "pram energy")
-	addRows(c, vsSweep.Rows())
-	emit(cfg, c)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: direct wins depth and distance by a growing (log) factor; energies within constants of each other")
+	for _, r := range p.rows("bounds/spmv-vs-pram") {
+		c.AddRow(r[0], r[5], cellI(r[1]), cellI(r[2]), cellI(r[3]), cellI(r[4]), r[6], r[7])
+	}
+	p.emit(c)
+	fmt.Fprintln(p.Out, "\nexpected shape: direct wins depth and distance by a growing (log) factor; energies within constants of each other")
 }
 
 // ---------------------------------------------------------------- treefix --
 
-// runTreefix quantifies the Section II-A comparison against the spatial
+// renderTreefix quantifies the Section II-A comparison against the spatial
 // tree algorithms [38]: their treefix sums take Theta(n log n) energy even
 // on a path; the Euler-tour + energy-optimal-scan route costs Theta(n) for
 // any tree shape. The binary-tree scan stands in for the [38] path
 // baseline.
-func runTreefix(cfg Config) {
-	ns := sizes(cfg.Quick, 1024, 4096, 16384, 65536)
-	rows := cfg.H.Sweep("treefix", len(ns), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i]
-		ones := make([]float64, n)
-		for i := range ones {
-			ones[i] = 1
-		}
-		run := func(tr tree.Tree) machine.Metrics {
-			return env.Measure(func(m *machine.Machine) {
-				if _, err := tree.RootfixSum(m, tr, ones); err != nil {
-					panic(err)
-				}
-			})
-		}
-		pathM := run(tree.Path(n))
-		balM := run(tree.Balanced(n))
-		base := env.Measure(func(m *machine.Machine) {
-			r := squareFor(n)
-			placeFloats(m, grid.RowMajor(r), "v", ones, 0)
-			collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
-		})
-		return harness.One(n, float64(pathM.Energy), float64(balM.Energy), float64(base.Energy),
-			float64(base.Energy)/float64(pathM.Energy), pathM.Depth)
-	})
+func renderTreefix(p *page) {
 	t := analysis.NewTable("n", "treefix(path) E", "treefix(balanced) E", "tree-scan baseline E", "baseline/treefix", "treefix depth")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out, "\nexpected shape: treefix energy linear in n for both shapes; the baseline/treefix ratio grows ~log n")
-	fmt.Fprintln(cfg.Out, "(the Euler tour doubles the scanned elements, so the ratio starts below 1 and crosses it near n ~ 2^20)")
+	for _, r := range p.rows("bounds/treefix") {
+		t.AddRow(r[0], r[1], r[2], r[3], cellF(r[3])/cellF(r[1]), r[4])
+	}
+	p.emit(t)
+	fmt.Fprintln(p.Out, "\nexpected shape: treefix energy linear in n for both shapes; the baseline/treefix ratio grows ~log n")
+	fmt.Fprintln(p.Out, "(the Euler tour doubles the scanned elements, so the ratio starts below 1; the fitted crossover lies")
+	fmt.Fprintln(p.Out, "beyond the measured sizes, see the sec-ii-a/treefix-vs-tree-scan-crossover claim)")
 }
 
 // ---------------------------------------------------------- depth scaling --
 
-// runDepthScaling fits the polylog degree c of depth ~ (log n)^c for each
-// primitive — the depth column of Table I. Paper targets: scan 1, selection
-// 2, sort 3, spmv 3 (upper bounds; measured degrees land at or below them).
-func runDepthScaling(cfg Config) {
-	type prim struct {
-		name  string
-		paper string
-		ns    []int
-		run   func(n int, env *harness.Env) machine.Metrics
+// renderDepthScaling fits the polylog degree c of depth ~ (log n)^c for
+// each primitive — the depth column of Table I — and lists the depth's
+// growth ratio between consecutive sizes (each sweep quadruples n). Paper
+// targets: scan 1, selection 2, sort 3, spmv 3 (upper bounds; measured
+// degrees land at or below them).
+func renderDepthScaling(p *page) {
+	prims := []struct{ name, paper string }{
+		{"scan", "O(log n)"}, {"selection", "O(log^2 n)"}, {"sort", "O(log^3 n)"}, {"spmv", "O(log^3 n)"},
 	}
-	prims := []prim{
-		{"scan", "O(log n)", sizes(cfg.Quick, 256, 1024, 4096, 16384, 65536), MeasureScan},
-		{"selection", "O(log^2 n)", sizes(cfg.Quick, 256, 1024, 4096, 16384, 65536), MeasureSelection},
-		{"sort", "O(log^3 n)", sizes(cfg.Quick, 256, 1024, 4096, 16384), MeasureSort},
-		{"spmv", "O(log^3 n)", sizes(cfg.Quick, 256, 1024, 4096), MeasureSpMV},
-	}
-
-	sweeps := make([]*harness.Sweep, len(prims))
-	for i, p := range prims {
-		p := p
-		sweeps[i] = cfg.H.Go("depth-scaling/"+p.name, len(p.ns), func(j int, env *harness.Env) []harness.Row {
-			mm := p.run(p.ns[j], env)
-			return harness.One(p.ns[j], mm.Depth)
-		})
-	}
-
-	t := analysis.NewTable("problem", "paper depth", "measured polylog degree", "depth series")
-	for i, p := range prims {
-		rows := sweeps[i].Rows()
-		series := ""
-		for _, r := range rows {
-			if series != "" {
-				series += " "
+	t := analysis.NewTable("problem", "paper depth", "measured polylog degree", "depth series", "growth per 4x n")
+	for _, pr := range prims {
+		rows := p.rows("bounds/" + pr.name)
+		var series, growth []string
+		for i, r := range rows {
+			series = append(series, fmt.Sprint(cellI(r[2])))
+			if i > 0 {
+				growth = append(growth, fmt.Sprintf("%.2f", cellF(r[2])/cellF(rows[i-1][2])))
 			}
-			series += fmt.Sprint(r[1])
 		}
-		t.AddRow(p.name, p.paper, analysis.FitLogExponent(colPoints(rows, 0, 1)), series)
+		t.AddRow(pr.name, pr.paper, analysis.FitLogExponent(colPoints(rows, 0, 2)),
+			strings.Join(series, " "), strings.Join(growth, " "))
 	}
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out, "\ndiscriminating check: a polylog depth has per-quadrupling growth ratios that *decline* toward 1")
-	fmt.Fprintln(cfg.Out, "(scan 1.25->1.14, sort 2.8->2.3->1.8; selection's are noisy at these sizes but stay ~1.0-1.4),")
-	fmt.Fprintln(cfg.Out, "whereas any polynomial n^c keeps a constant ratio 4^c (the mesh sort measures a steady ~2.3x).")
-	fmt.Fprintln(cfg.Out, "Fitted degrees overshoot the paper's upper bounds on short sweeps because of additive")
-	fmt.Fprintln(cfg.Out, "lower-order terms; the ratios are the evidence.")
+	p.emit(t)
+	fmt.Fprintln(p.Out, "\ndiscriminating check: a polylog depth has per-quadrupling growth ratios (last column) that *decline*")
+	fmt.Fprintln(p.Out, "toward 1 (selection's are noisy at these sizes: its pivots are random), whereas any polynomial n^c")
+	fmt.Fprintln(p.Out, "keeps a constant ratio 4^c (the mesh sort's depth in sort-ablation). Fitted degrees overshoot the")
+	fmt.Fprintln(p.Out, "paper's upper bounds on short sweeps because of additive lower-order terms; the ratios are the evidence.")
 }
 
 // ------------------------------------------------------------ congestion --
 
-// runCongestion is an extension experiment: energy is the *total* network
-// load; this measures the *maximum* per-link load under dimension-ordered
-// routing, comparing the scan designs and the two sorters. The locality
-// of the Z-order scan shows up as near-flat link load, while the tree scan
-// funnels traffic through the middle of the row-major layout. Each point
-// leases a congestion-tracking machine (harness.WithCongestion) and runs
-// all algorithms for its size on the same input array.
-func runCongestion(cfg Config) {
-	ns := sizes(cfg.Quick, 1024, 4096, 16384)
-	rows := cfg.H.Sweep("congestion", len(ns), func(i int, env *harness.Env) []harness.Row {
-		n := ns[i]
-		vals := workload.Array(workload.Random, n, env.Rng)
-		type algo struct {
-			name string
-			run  func(m *machine.Machine, r grid.Rect)
-		}
-		algos := []algo{
-			{"zorder-scan", func(m *machine.Machine, r grid.Rect) {
-				placeFloats(m, grid.ZOrder(r), "v", vals, 0)
-				collectives.Scan(m, r, "v", collectives.Add, 0.0)
-			}},
-			{"tree-scan", func(m *machine.Machine, r grid.Rect) {
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-				collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
-			}},
-			{"broadcast", func(m *machine.Machine, r grid.Rect) {
-				m.Set(r.Origin, "v", 1.0)
-				collectives.Broadcast(m, r, "v")
-			}},
-		}
-		if n <= 4096 {
-			algos = append(algos,
-				algo{"mergesort", func(m *machine.Machine, r grid.Rect) {
-					placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-					core.MergeSort(m, r, "v", order.Float64)
-				}},
-				algo{"bitonic", func(m *machine.Machine, r grid.Rect) {
-					placeFloats(m, grid.RowMajor(r), "v", vals, 0)
-					sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
-				}})
-		}
-		out := make([]harness.Row, 0, len(algos))
-		for _, a := range algos {
-			m := env.Machine() // reset, congestion tracking enabled
-			a.run(m, grid.SquareFor(machine.Coord{}, n))
-			out = append(out, harness.Row{a.name, n, float64(m.Metrics().Energy), float64(m.MaxCongestion()),
-				float64(m.MaxCongestion()) / sqrtf(n)})
-		}
-		return out
-	}, harness.WithCongestion())
+// renderCongestion is an extension experiment: energy is the *total*
+// network load; this shows the *maximum* per-link load under
+// dimension-ordered routing, comparing the scan designs and the two
+// sorters. The locality of the Z-order scan shows up as near-flat link
+// load, while the tree scan funnels traffic through the middle of the
+// row-major layout.
+func renderCongestion(p *page) {
 	t := analysis.NewTable("algorithm", "n", "energy", "max link load", "load/sqrt(n)")
-	addRows(t, rows)
-	emit(cfg, t)
-	fmt.Fprintln(cfg.Out, "\nextension beyond the paper's metrics: max per-link load under XY routing (energy is the total load)")
+	addRows(t, p.rows("congestion"))
+	p.emit(t)
+	fmt.Fprintln(p.Out, "\nextension beyond the paper's metrics: max per-link load under XY routing (energy is the total load)")
 }
 
 func log2f(x int) float64 {
@@ -750,10 +467,3 @@ func log2f(x int) float64 {
 }
 
 func sqrtf(n int) float64 { return math.Sqrt(float64(n)) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

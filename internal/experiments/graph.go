@@ -15,10 +15,10 @@ import (
 // triangle counting composed from the Table I primitives (segmented scan,
 // merge sort, treefix, SpMV, sorting networks), measured over two
 // synthetic families with opposite diameters — the 2D mesh (diameter
-// Θ(√n)) and an RMAT-ish power-law graph (diameter O(log n) whp). The
-// same generators back the bounds/graph-* sweeps and the spatialbench
-// "graph" table; the power-law family draws from the point's FNV-seeded
-// RNG, so rows stay byte-identical at any -parallel/-shards/-batch.
+// Θ(√n)) and an RMAT-ish power-law graph (diameter O(log n) whp) by the
+// bounds/graph-* sweeps, which the spatialbench "graph" table renders;
+// the power-law family draws from the point's FNV-seeded RNG, so rows
+// stay byte-identical at any -parallel/-shards/-batch.
 
 // graphPageRankIters fixes the power-iteration count: enough to damp the
 // uniform start visibly, few enough that one point stays sweep-affordable.
@@ -53,15 +53,6 @@ func intSqrt(n int) int {
 	return int(r)
 }
 
-// graphAnswer sanity-checks an on-grid result against its host reference;
-// a mismatch panics so every sweep run (conformance included) is also a
-// correctness gate.
-func graphAnswer(ok bool, algo, family string, n int) {
-	if !ok {
-		panic(fmt.Sprintf("experiments: graph/%s on-grid result diverges from host reference (%s, n=%d)", algo, family, n))
-	}
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -86,66 +77,47 @@ func equalFloatsTol(a, b []float64, tol float64) bool {
 	return true
 }
 
-// MeasureBFS runs the level-synchronous BFS from vertex 0 and verifies
-// the levels against the host reference.
-func MeasureBFS(g *graph.Graph, algoFamily string, n int, env *harness.Env) machine.Metrics {
-	var levels []int
+// measureGraph runs one algorithm on g and checks its answer against the
+// host reference: BFS levels from vertex 0, min-label components,
+// PageRank (to float tolerance: the on-grid sums associate along the scan
+// tree) and the triangle count. A mismatch panics, so every sweep run
+// (conformance included) is also a correctness gate.
+func measureGraph(algo string, g *graph.Graph, family string, n int, env *harness.Env) machine.Metrics {
+	var ok bool
 	mm := env.Measure(func(m *machine.Machine) {
 		var err error
-		levels, err = graph.BFS(m, g, 0)
+		switch algo {
+		case "bfs":
+			var levels []int
+			if levels, err = graph.BFS(m, g, 0); err == nil {
+				ok = equalInts(levels, graph.HostBFS(g, 0))
+			}
+		case "cc":
+			var labels []int
+			if labels, _, err = graph.Components(m, g); err == nil {
+				ok = equalInts(labels, graph.HostComponents(g))
+			}
+		case "pagerank":
+			var pr []float64
+			if pr, err = graph.PageRank(m, g, 0.85, graphPageRankIters, grid.TrackZOrder); err == nil {
+				ok = equalFloatsTol(pr, graph.HostPageRank(g, 0.85, graphPageRankIters), 1e-9)
+			}
+		case "triangles":
+			var count int64
+			if count, err = graph.Triangles(m, g); err == nil {
+				ok = count == graph.HostTriangles(g)
+			}
+		default:
+			panic("experiments: unknown graph algorithm " + algo)
+		}
 		if err != nil {
 			panic(err)
 		}
 	})
-	graphAnswer(equalInts(levels, graph.HostBFS(g, 0)), "bfs", algoFamily, n)
+	if !ok {
+		panic(fmt.Sprintf("experiments: graph/%s on-grid result diverges from host reference (%s, n=%d)", algo, family, n))
+	}
 	return mm
-}
-
-// MeasureCC runs min-label hooking with treefix contraction and verifies
-// the labels against the union-find reference.
-func MeasureCC(g *graph.Graph, algoFamily string, n int, env *harness.Env) (machine.Metrics, int) {
-	var labels []int
-	var rounds int
-	mm := env.Measure(func(m *machine.Machine) {
-		var err error
-		labels, rounds, err = graph.Components(m, g)
-		if err != nil {
-			panic(err)
-		}
-	})
-	graphAnswer(equalInts(labels, graph.HostComponents(g)), "cc", algoFamily, n)
-	return mm, rounds
-}
-
-// MeasurePageRank runs iterated SpMV PageRank on the paper's Z-order
-// track and verifies the ranks against the host power iteration (to float
-// tolerance: the on-grid sums associate along the scan tree).
-func MeasurePageRank(g *graph.Graph, algoFamily string, n int, env *harness.Env) machine.Metrics {
-	var pr []float64
-	mm := env.Measure(func(m *machine.Machine) {
-		var err error
-		pr, err = graph.PageRank(m, g, 0.85, graphPageRankIters, grid.TrackZOrder)
-		if err != nil {
-			panic(err)
-		}
-	})
-	graphAnswer(equalFloatsTol(pr, graph.HostPageRank(g, 0.85, graphPageRankIters), 1e-9), "pagerank", algoFamily, n)
-	return mm
-}
-
-// MeasureTriangles runs the sortnet-based edge/wedge intersection and
-// verifies the count against the brute-force reference.
-func MeasureTriangles(g *graph.Graph, algoFamily string, n int, env *harness.Env) (machine.Metrics, int64) {
-	var count int64
-	mm := env.Measure(func(m *machine.Machine) {
-		var err error
-		count, err = graph.Triangles(m, g)
-		if err != nil {
-			panic(err)
-		}
-	})
-	graphAnswer(count == graph.HostTriangles(g), "triangles", algoFamily, n)
-	return mm, count
 }
 
 // graphSweepSizes are the per-algorithm vertex counts (perfect squares, so
@@ -160,38 +132,13 @@ func graphSweepSizes(quick bool) map[string][]int {
 	}
 }
 
-// Column indices of the graph sweep row shape {n, meshE, meshD, rmatE,
-// rmatD}, exported for claim definitions.
-const (
-	GraphColN     = 0
-	GraphColMeshE = 1
-	GraphColMeshD = 2
-	GraphColRmatE = 3
-	GraphColRmatD = 4
-)
-
 // graphPoint measures one algorithm at size n on both families and emits
-// the canonical graph sweep row.
+// the graph sweep row {n, meshE, meshD, rmatE, rmatD}.
 func graphPoint(algo string, n int, env *harness.Env) []harness.Row {
 	mesh := meshGraph(n)
 	rmat := graph.PowerLaw(n, env.Rng)
-	run := func(g *graph.Graph, family string) machine.Metrics {
-		switch algo {
-		case "bfs":
-			return MeasureBFS(g, family, n, env)
-		case "cc":
-			mm, _ := MeasureCC(g, family, n, env)
-			return mm
-		case "pagerank":
-			return MeasurePageRank(g, family, n, env)
-		case "triangles":
-			mm, _ := MeasureTriangles(g, family, n, env)
-			return mm
-		}
-		panic("experiments: unknown graph algorithm " + algo)
-	}
-	mm := run(mesh, "mesh")
-	rm := run(rmat, "power-law")
+	mm := measureGraph(algo, mesh, "mesh", n, env)
+	rm := measureGraph(algo, rmat, "power-law", n, env)
 	return harness.One(n, float64(mm.Energy), float64(mm.Depth), float64(rm.Energy), float64(rm.Depth))
 }
 
@@ -210,8 +157,8 @@ func graphCost(algo string) func(n int) float64 {
 	return costNSqrtN
 }
 
-// registerGraphSweeps adds the bounds/graph-* sweeps to the conformance
-// registry. Row shape: {n, meshE, meshD, rmatE, rmatD} (see GraphCol*).
+// registerGraphSweeps adds the bounds/graph-* sweeps to the registry. Row
+// shape: {n, meshE, meshD, rmatE, rmatD}.
 func registerGraphSweeps(reg *harness.Registry, quick bool) {
 	sizesByAlgo := graphSweepSizes(quick)
 	for _, algo := range []string{"bfs", "cc", "pagerank", "triangles"} {
@@ -228,49 +175,29 @@ func registerGraphSweeps(reg *harness.Registry, quick bool) {
 	}
 }
 
-// runGraph renders the graph-analytics suite: per-algorithm energy/depth
-// on both families, the per-family answers (eccentricity, component
-// count, top rank, triangles) and the fitted scaling exponents.
-func runGraph(cfg Config) {
+// renderGraph renders the graph-analytics suite: per-algorithm energy and
+// depth on both families, the fitted energy exponents and the growth
+// class of each depth series.
+func renderGraph(p *page) {
 	algos := []string{"bfs", "cc", "pagerank", "triangles"}
-	sizesByAlgo := graphSweepSizes(cfg.Quick)
-	sweeps := make([]*harness.Sweep, len(algos))
-	for i, algo := range algos {
-		algo := algo
-		ns := sizesByAlgo[algo]
-		sweeps[i] = cfg.H.Go("graph/"+algo, len(ns), func(j int, env *harness.Env) []harness.Row {
-			row := graphPoint(algo, ns[j], env)[0]
-			return []harness.Row{append(harness.Row{algo}, row...)}
-		})
-	}
-
 	t := analysis.NewTable("algorithm", "n", "mesh energy", "mesh depth", "power-law energy", "power-law depth")
-	type fits struct{ meshE, rmatE float64 }
-	f := make([]fits, len(algos))
-	var depthRows [][]harness.Row
-	for i := range algos {
-		rows := sweeps[i].Rows()
-		addRows(t, rows)
-		f[i] = fits{
-			meshE: analysis.FitExponent(colPoints(rows, 1, 2)),
-			rmatE: analysis.FitExponent(colPoints(rows, 1, 4)),
-		}
-		depthRows = append(depthRows, rows)
-	}
-	emit(cfg, t)
-
-	fmt.Fprintln(cfg.Out)
 	v := analysis.NewTable("algorithm", "mesh E exp", "power-law E exp", "mesh depth growth", "power-law depth growth")
-	for i, algo := range algos {
-		rows := depthRows[i]
-		v.AddRow(algo, f[i].meshE, f[i].rmatE,
-			analysis.ClassifyGrowth(colPoints(rows, 1, 3)).String(),
-			analysis.ClassifyGrowth(colPoints(rows, 1, 5)).String())
+	for _, algo := range algos {
+		rows := p.rows("bounds/graph-" + algo)
+		for _, r := range rows {
+			t.AddRow(append(harness.Row{algo}, r...)...)
+		}
+		v.AddRow(algo, analysis.FitExponent(colPoints(rows, 0, 1)), analysis.FitExponent(colPoints(rows, 0, 3)),
+			analysis.ClassifyGrowth(colPoints(rows, 0, 2)).String(),
+			analysis.ClassifyGrowth(colPoints(rows, 0, 4)).String())
 	}
-	fmt.Fprint(cfg.Out, v.String())
-	fmt.Fprintln(cfg.Out, "\ndepth provenance: BFS chains one segmented scan per level (mesh depth ~ sqrt(n) log n, power-law ~ log^2 n);")
-	fmt.Fprintln(cfg.Out, "CC chains O(log n) rounds of sort+scan+treefix (polylog); PageRank chains SpMV iterations (polylog);")
-	fmt.Fprintln(cfg.Out, "triangles is one bitonic pass over edges+wedges (log^2 of the record count). Every measurement is")
-	fmt.Fprintln(cfg.Out, "verified against a host reference inside the sweep, and depth witnesses are re-derived per")
-	fmt.Fprintln(cfg.Out, "measurement under -cpcheck (trace.CriticalPath).")
+	p.emit(t)
+
+	fmt.Fprintln(p.Out)
+	fmt.Fprint(p.Out, v.String())
+	fmt.Fprintln(p.Out, "\ndepth provenance: BFS chains one segmented scan per level (mesh depth ~ sqrt(n) log n, power-law ~ log^2 n);")
+	fmt.Fprintln(p.Out, "CC chains O(log n) rounds of sort+scan+treefix (polylog); PageRank chains SpMV iterations (polylog);")
+	fmt.Fprintln(p.Out, "triangles is one bitonic pass over edges+wedges (log^2 of the record count). Every measurement is")
+	fmt.Fprintln(p.Out, "verified against a host reference inside the sweep, and depth witnesses are re-derived per")
+	fmt.Fprintln(p.Out, "measurement under -cpcheck (trace.CriticalPath).")
 }

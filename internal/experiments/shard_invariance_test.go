@@ -29,15 +29,11 @@ func shardCounts() []int {
 	return counts
 }
 
-// runAllExperiments executes every registered experiment in quick mode on a
+// runAllExperiments renders every registered experiment in quick mode on a
 // fresh runner built from opts and returns the concatenated CSV output.
 func runAllExperiments(opts ...harness.Option) string {
 	var buf bytes.Buffer
-	cfg := Config{Quick: true, CSV: true, Out: &buf, H: harness.New(1, opts...)}
-	for _, e := range All() {
-		fmt.Fprintf(&buf, "== %s ==\n", e.Name)
-		e.Run(cfg)
-	}
+	Run(harness.New(1, opts...), Config{Quick: true, CSV: true, Out: &buf}, All()...)
 	return buf.String()
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/order"
+	"repro/internal/pram"
 	"repro/internal/sortnet"
 	"repro/internal/spmv"
 	"repro/internal/tree"
@@ -14,13 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Shared primitive measurements — the same code paths back both the
-// table-rendering experiments (table1, depth-scaling) and the named bound
-// sweeps the conformance checker replays. Each measures one primitive of
-// Table I on a fresh machine leased from the point's env.
+// Table I primitive measurements. Each measures one primitive on a fresh
+// machine leased from the point's env.
 
-// MeasureScan runs the energy-optimal Z-order scan on n random values.
-func MeasureScan(n int, env *harness.Env) machine.Metrics {
+// measureScan runs the energy-optimal Z-order scan on n random values.
+func measureScan(n int, env *harness.Env) machine.Metrics {
 	vals := workload.Array(workload.Random, n, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
 		r := grid.SquareFor(machine.Coord{}, n)
@@ -29,8 +28,8 @@ func MeasureScan(n int, env *harness.Env) machine.Metrics {
 	})
 }
 
-// MeasureSort runs the 2-D mergesort (Theorem V.8) on n random values.
-func MeasureSort(n int, env *harness.Env) machine.Metrics {
+// measureSort runs the 2-D mergesort (Theorem V.8) on n random values.
+func measureSort(n int, env *harness.Env) machine.Metrics {
 	vals := workload.Array(workload.Random, n, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
 		r := grid.SquareFor(machine.Coord{}, n)
@@ -39,8 +38,8 @@ func MeasureSort(n int, env *harness.Env) machine.Metrics {
 	})
 }
 
-// MeasureSelection runs randomized median selection (Theorem VI.3).
-func MeasureSelection(n int, env *harness.Env) machine.Metrics {
+// measureSelection runs randomized median selection (Theorem VI.3).
+func measureSelection(n int, env *harness.Env) machine.Metrics {
 	vals := workload.Array(workload.Random, n, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
 		r := grid.SquareFor(machine.Coord{}, n)
@@ -49,9 +48,9 @@ func MeasureSelection(n int, env *harness.Env) machine.Metrics {
 	})
 }
 
-// MeasureSpMV runs the direct SpMV (Theorem VIII.2) on an nnz-entry
+// measureSpMV runs the direct SpMV (Theorem VIII.2) on an nnz-entry
 // uniform sparse matrix.
-func MeasureSpMV(nnz int, env *harness.Env) machine.Metrics {
+func measureSpMV(nnz int, env *harness.Env) machine.Metrics {
 	a := workload.SparseMatrix(workload.MatUniform, nnz, nnz, env.Rng)
 	x := workload.Array(workload.Random, nnz, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
@@ -60,19 +59,6 @@ func MeasureSpMV(nnz int, env *harness.Env) machine.Metrics {
 		}
 	})
 }
-
-// metricsRow is the canonical bound-sweep row: n, energy, depth, distance.
-func metricsRow(n int, mm machine.Metrics) []harness.Row {
-	return harness.One(n, float64(mm.Energy), float64(mm.Depth), float64(mm.Distance))
-}
-
-// Column indices of the metricsRow shape, exported for claim definitions.
-const (
-	ColN        = 0
-	ColEnergy   = 1
-	ColDepth    = 2
-	ColDistance = 3
-)
 
 // pick selects the quick or full point list for sweeps whose two modes
 // are maintained as explicit lists rather than via sizes()'s drop-last
@@ -99,11 +85,21 @@ func costOf(ns []int, f func(n int) float64) func(i int) float64 {
 	return func(i int) float64 { return f(ns[i]) }
 }
 
-// BoundSweeps builds the named-sweep registry the conformance checker
-// runs. Every sweep emits rows whose first cell is the problem size n;
-// the remaining columns are documented per sweep. Sweep names are stable
-// identifiers — they key both claim definitions (internal/bounds) and the
-// per-point workload RNGs, so renaming one changes its measured workloads.
+// collectivesBound is Lemma IV.1's h x w broadcast/reduce energy bound,
+// hw + max(h,w)·log(max(h,w)).
+func collectivesBound(h, w int) float64 {
+	return float64(h*w) + float64(max(h, w))*log2f(max(h, w))
+}
+
+// BoundSweeps builds the named-sweep registry: the one place a measurement
+// point of the evaluation is defined. The conformance checker fits its
+// claims to the bounds/* sweeps; spatialbench renders every sweep as
+// tables (see All). The rows of a bounds/* sweep start with the problem
+// size n; their columns are documented per sweep, and columns only
+// claims do not read are appended after the ones they do. Sweep names are
+// stable identifiers — they key claim definitions (internal/bounds), the
+// result cache and the per-point workload RNGs, so renaming one changes
+// its measured workloads.
 func BoundSweeps(quick bool) *harness.Registry {
 	reg := &harness.Registry{}
 
@@ -113,7 +109,8 @@ func BoundSweeps(quick bool) *harness.Registry {
 			Points: len(ns),
 			Cost:   costOf(ns, cost),
 			Point: func(i int, env *harness.Env) []harness.Row {
-				return metricsRow(ns[i], measure(ns[i], env))
+				mm := measure(ns[i], env)
+				return harness.One(ns[i], float64(mm.Energy), float64(mm.Depth), float64(mm.Distance))
 			},
 		})
 	}
@@ -123,14 +120,15 @@ func BoundSweeps(quick bool) *harness.Registry {
 	// because its Θ(n^1.5) message volume makes 2²⁰ points hour-scale.
 	metric("bounds/scan",
 		pick(quick, []int{256, 1024, 4096, 16384}, []int{256, 1024, 4096, 16384, 65536, 262144, 1048576}),
-		costNLogN, MeasureScan)
+		costNLogN, measureScan)
 	metric("bounds/sort",
 		pick(quick, []int{256, 1024, 4096}, []int{256, 1024, 4096, 16384, 65536}),
-		costNSqrtN, MeasureSort)
-	metric("bounds/selection", sizes(quick, 256, 1024, 4096, 16384, 65536), costNSqrtN, MeasureSelection)
-	metric("bounds/spmv", sizes(quick, 256, 1024, 4096, 16384), costNSqrtN, MeasureSpMV)
+		costNSqrtN, measureSort)
+	metric("bounds/selection", sizes(quick, 256, 1024, 4096, 16384, 65536), costNSqrtN, measureSelection)
+	metric("bounds/spmv", sizes(quick, 256, 1024, 4096, 16384), costNSqrtN, measureSpMV)
 
-	// Scan design space (Sec. IV-C): rows {n, zorderE, treeE, seqE}.
+	// Scan design space (Sec. IV-C): rows {n, zorderE, treeE, seqE,
+	// zorderD, treeD, seqD}.
 	scanNs := pick(quick, []int{256, 1024, 4096, 16384}, []int{256, 1024, 4096, 16384, 65536, 262144, 1048576})
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/scan-ablation",
@@ -154,11 +152,12 @@ func BoundSweeps(quick bool) *harness.Registry {
 				placeFloats(m, grid.ZOrder(r), "v", vals, 0)
 				collectives.ScanSequential(m, grid.ZOrder(r), "v", collectives.Add)
 			})
-			return harness.One(n, float64(z.Energy), float64(tr.Energy), float64(sq.Energy))
+			return harness.One(n, float64(z.Energy), float64(tr.Energy), float64(sq.Energy),
+				z.Depth, tr.Depth, sq.Depth)
 		},
 	})
 
-	// Reduce ablation (Sec. IV-B): rows {n, twoDimE, treeE}.
+	// Reduce ablation (Sec. IV-B): rows {n, twoDimE, treeE, twoDimD, treeD}.
 	sides := sizes(quick, 16, 32, 64, 128, 256)
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/reduce-ablation",
@@ -175,7 +174,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 				placeFloats(m, grid.RowMajor(r), "v", nil, 1)
 				collectives.ReduceTrack(m, grid.RowMajor(r), "v", collectives.Add)
 			})
-			return harness.One(side*side, float64(two.Energy), float64(tr.Energy))
+			return harness.One(side*side, float64(two.Energy), float64(tr.Energy), two.Depth, tr.Depth)
 		},
 	})
 
@@ -241,8 +240,10 @@ func BoundSweeps(quick bool) *harness.Registry {
 		},
 	})
 
-	// Collectives bound ratios (Lemma IV.1): rows {h*w, bcastE/bound,
-	// reduceE/bound} where bound = hw + max(h,w)·log(max(h,w)).
+	// Collectives bound ratios (Lemma IV.1) on square, column and general
+	// h x w subgrids: rows {h*w, bcastE/bound, reduceE/bound, h, w,
+	// bcastE, bcastD, bcastDist, reduceE, reduceD, reduceDist} where bound
+	// is collectivesBound(h, w).
 	shapes := [][2]int{{32, 32}, {64, 64}, {128, 128}, {1024, 1}, {4096, 1}, {256, 16}, {16, 256}, {512, 8}}
 	if quick {
 		shapes = shapes[:5]
@@ -262,13 +263,15 @@ func BoundSweeps(quick bool) *harness.Registry {
 				placeFloats(m, grid.RowMajor(r), "v", nil, 1)
 				collectives.Reduce(m, r, "v", collectives.Add)
 			})
-			bound := float64(h*w) + float64(maxInt(h, w))*log2f(maxInt(h, w))
-			return harness.One(h*w, float64(bm.Energy)/bound, float64(rm.Energy)/bound)
+			bound := collectivesBound(h, w)
+			return harness.One(h*w, float64(bm.Energy)/bound, float64(rm.Energy)/bound, h, w,
+				float64(bm.Energy), bm.Depth, bm.Distance, float64(rm.Energy), rm.Depth, rm.Distance)
 		},
 	})
 
 	// Permutation lower bound (Lemma V.1 / Cor. V.2): rows {n,
-	// reversalE/n^1.5, mergesortOnReversedE/reversalE}.
+	// reversalE/n^1.5, mergesortOnReversedE/reversalE, reversalE,
+	// mergesortOnReversedE}.
 	lbNs := sizes(quick, 1024, 4096, 16384)
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/lowerbound",
@@ -290,11 +293,34 @@ func BoundSweeps(quick bool) *harness.Registry {
 				core.MergeSort(m, r, "v", order.Float64)
 			})
 			n15 := float64(n) * sqrtf(n)
-			return harness.One(n, float64(pe.Energy)/n15, float64(se.Energy)/float64(pe.Energy))
+			return harness.One(n, float64(pe.Energy)/n15, float64(se.Energy)/float64(pe.Energy),
+				float64(pe.Energy), float64(se.Energy))
 		},
 	})
 
-	// Component lemmas (V.5–V.7): rows {n, energy}.
+	// Permutation families (Lemma V.1): rows {n, family, energy,
+	// energy/n^1.5}, one per (size, family).
+	permNs := sizes(quick, 1024, 4096, 16384)
+	kinds := workload.PermKinds()
+	reg.MustRegister(harness.SweepSpec{
+		Name:   "lowerbound/permutation",
+		Points: len(permNs) * len(kinds),
+		Cost:   func(i int) float64 { return costNSqrtN(permNs[i/len(kinds)]) },
+		Point: func(i int, env *harness.Env) []harness.Row {
+			n := permNs[i/len(kinds)]
+			kind := kinds[i%len(kinds)]
+			perm := workload.Permutation(kind, n, env.Rng)
+			mm := env.Measure(func(m *machine.Machine) {
+				r := grid.SquareFor(machine.Coord{}, n)
+				tr := grid.RowMajor(r)
+				placeFloats(m, tr, "v", nil, 1)
+				core.Permute(m, tr, "v", tr, "v", perm)
+			})
+			return harness.One(n, string(kind), float64(mm.Energy), float64(mm.Energy)/(float64(n)*sqrtf(n)))
+		},
+	})
+
+	// Component lemmas (V.5–V.7): rows {n, energy, depth, distance}.
 	apNs := sizes(quick, 16, 64, 256)
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/all-pairs",
@@ -310,7 +336,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 				scratch := r.RightOf(core.AllPairsScratchSide(n), core.AllPairsScratchSide(n))
 				core.AllPairsSort(m, tr, "v", n, scratch, order.Float64)
 			})
-			return harness.One(n, float64(mm.Energy))
+			return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
 		},
 	})
 	rsNs := sizes(quick, 1024, 4096, 16384)
@@ -333,7 +359,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 				scratch := grid.Square(machine.Coord{Row: ra.H + 1, Col: 0}, core.SelectScratchSide(n))
 				core.SelectInSorted(m, tA, tB, "v", n/2, scratch, order.Float64)
 			})
-			return harness.One(n, float64(mm.Energy))
+			return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
 		},
 	})
 	mgNs := sizes(quick, 512, 2048, 8192)
@@ -355,11 +381,12 @@ func BoundSweeps(quick bool) *harness.Registry {
 				placeFloats(m, tB, "v", b, 0)
 				core.Merge(m, tA, tB, "v", r.TopHalf(), order.Float64)
 			})
-			return harness.One(n, float64(mm.Energy))
+			return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
 		},
 	})
 
-	// Selection vs sorting separation (Sec. VI): rows {n, selectE, sortE}.
+	// Selection vs sorting separation (Sec. VI): rows {n, selectE, sortE,
+	// selectD}.
 	selNs := sizes(quick, 1024, 4096, 16384)
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/selection-vs-sort",
@@ -367,16 +394,60 @@ func BoundSweeps(quick bool) *harness.Registry {
 		Cost:   costOf(selNs, costNSqrtN),
 		Point: func(i int, env *harness.Env) []harness.Row {
 			n := selNs[i]
-			sel := MeasureSelection(n, env)
-			srt := MeasureSort(n, env)
-			return harness.One(n, float64(sel.Energy), float64(srt.Energy))
+			sel := measureSelection(n, env)
+			srt := measureSort(n, env)
+			return harness.One(n, float64(sel.Energy), float64(srt.Energy), sel.Depth)
 		},
 	})
 
-	// Treefix sums (Sec. II-A): rows {n, pathE, balancedE, scanE} where
-	// scanE is the flat tree-scan (ScanTrack) on the same n values — the
-	// baseline the treefix crossover claim compares the worst-case path
-	// tree against.
+	// PRAM simulation per-step costs (Lemmas VII.1–VII.2): rows {mode, p,
+	// energy/step, depth/step, p(√p+√m), energy ratio}, three per size.
+	ps := sizes(quick, 64, 256, 1024)
+	reg.MustRegister(harness.SweepSpec{
+		Name:   "pram",
+		Points: len(ps),
+		Cost:   costOf(ps, costNSqrtN),
+		Point: func(i int, env *harness.Env) []harness.Row {
+			p := ps[i]
+			bound := float64(p) * (sqrtf(p) + 1)
+			em := env.Measure(func(m *machine.Machine) {
+				sim := pram.New(m, pram.BroadcastWrite{P: p}, pram.CRCW, nil)
+				if err := sim.Run(); err != nil {
+					panic(err)
+				}
+			})
+			cm := env.Measure(func(m *machine.Machine) {
+				sim := pram.New(m, pram.ConcurrentRead{P: p}, pram.CRCW, []machine.Value{1.0})
+				if err := sim.Run(); err != nil {
+					panic(err)
+				}
+			})
+			n := 2 * p
+			treeProg := pram.TreeSum{N: n}
+			steps := float64(treeProg.Steps())
+			tm := env.Measure(func(m *machine.Machine) {
+				init := make([]machine.Value, n)
+				for i := range init {
+					init[i] = 1.0
+				}
+				sim := pram.New(m, treeProg, pram.EREW, init)
+				if err := sim.Run(); err != nil {
+					panic(err)
+				}
+			})
+			eBound := float64(p) * (sqrtf(p) + sqrtf(n)) * steps
+			return []harness.Row{
+				{"CRCW-write", p, float64(em.Energy), em.Depth, bound, float64(em.Energy) / bound},
+				{"CRCW-read", p, float64(cm.Energy), cm.Depth, bound, float64(cm.Energy) / bound},
+				{"EREW-treesum", p, float64(tm.Energy) / steps, float64(tm.Depth) / steps, eBound / steps, float64(tm.Energy) / eBound},
+			}
+		},
+	})
+
+	// Treefix sums (Sec. II-A): rows {n, pathE, balancedE, scanE, pathD}
+	// where scanE is the flat tree-scan (ScanTrack) on the same n values —
+	// the baseline the treefix crossover claim compares the worst-case
+	// path tree against.
 	tfNs := pick(quick, []int{1024, 4096, 16384}, []int{1024, 4096, 16384, 65536, 262144, 1048576})
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/treefix",
@@ -402,12 +473,35 @@ func BoundSweeps(quick bool) *harness.Registry {
 				placeFloats(m, grid.RowMajor(r), "v", ones, 0)
 				collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
 			})
-			return harness.One(n, float64(pathM.Energy), float64(balM.Energy), float64(scanM.Energy))
+			return harness.One(n, float64(pathM.Energy), float64(balM.Energy), float64(scanM.Energy), pathM.Depth)
 		},
 	})
 
-	// Direct vs PRAM-simulated SpMV (Sec. VIII): rows {n, directDepth,
-	// pramDepth, directDist, pramDist}.
+	// Direct SpMV across matrix families (Thm VIII.2): rows {family, n,
+	// nnz, energy, depth, distance}, family-major.
+	matKinds := workload.MatrixKinds()
+	dirNs := sizes(quick, 64, 256, 1024)
+	reg.MustRegister(harness.SweepSpec{
+		Name:   "spmv-ablation/direct",
+		Points: len(matKinds) * len(dirNs),
+		Cost:   func(i int) float64 { return costNSqrtN(4 * dirNs[i%len(dirNs)]) },
+		Point: func(i int, env *harness.Env) []harness.Row {
+			kind := matKinds[i/len(dirNs)]
+			n := dirNs[i%len(dirNs)]
+			a := workload.SparseMatrix(kind, n, 4*n, env.Rng)
+			x := workload.Array(workload.Random, n, env.Rng)
+			dm := env.Measure(func(m *machine.Machine) {
+				if _, err := spmv.Multiply(m, a, x); err != nil {
+					panic(err)
+				}
+			})
+			return harness.One(string(kind), n, a.NNZ(), float64(dm.Energy), dm.Depth, dm.Distance)
+		},
+	})
+
+	// Direct vs PRAM-simulated SpMV (Sec. VIII; kept small: the CRCW
+	// simulation sorts per step): rows {n, directDepth, pramDepth,
+	// directDist, pramDist, nnz, directE, pramE}.
 	vsNs := sizes(quick, 16, 32, 64)
 	reg.MustRegister(harness.SweepSpec{
 		Name:   "bounds/spmv-vs-pram",
@@ -428,7 +522,60 @@ func BoundSweeps(quick bool) *harness.Registry {
 				}
 			})
 			return harness.One(n, float64(dm.Depth), float64(pm.Depth),
-				float64(dm.Distance), float64(pm.Distance))
+				float64(dm.Distance), float64(pm.Distance), a.NNZ(), float64(dm.Energy), float64(pm.Energy))
+		},
+	})
+
+	// Max per-link load under XY routing (an extension: energy is the
+	// *total* network load): rows {algorithm, n, energy, max link load,
+	// load/√n}. Every algorithm of a point runs on the same input array,
+	// on a machine leased with congestion tracking.
+	cgNs := sizes(quick, 1024, 4096, 16384)
+	reg.MustRegister(harness.SweepSpec{
+		Name:   "congestion",
+		Points: len(cgNs),
+		Cost:   costOf(cgNs, costNSqrtN),
+		Opts:   []harness.SweepOption{harness.WithCongestion()},
+		Point: func(i int, env *harness.Env) []harness.Row {
+			n := cgNs[i]
+			vals := workload.Array(workload.Random, n, env.Rng)
+			type algo struct {
+				name string
+				run  func(m *machine.Machine, r grid.Rect)
+			}
+			algos := []algo{
+				{"zorder-scan", func(m *machine.Machine, r grid.Rect) {
+					placeFloats(m, grid.ZOrder(r), "v", vals, 0)
+					collectives.Scan(m, r, "v", collectives.Add, 0.0)
+				}},
+				{"tree-scan", func(m *machine.Machine, r grid.Rect) {
+					placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+					collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
+				}},
+				{"broadcast", func(m *machine.Machine, r grid.Rect) {
+					m.Set(r.Origin, "v", 1.0)
+					collectives.Broadcast(m, r, "v")
+				}},
+			}
+			if n <= 4096 {
+				algos = append(algos,
+					algo{"mergesort", func(m *machine.Machine, r grid.Rect) {
+						placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+						core.MergeSort(m, r, "v", order.Float64)
+					}},
+					algo{"bitonic", func(m *machine.Machine, r grid.Rect) {
+						placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+						sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
+					}})
+			}
+			out := make([]harness.Row, 0, len(algos))
+			for _, a := range algos {
+				m := env.Machine() // reset, congestion tracking enabled
+				a.run(m, grid.SquareFor(machine.Coord{}, n))
+				out = append(out, harness.Row{a.name, n, float64(m.Metrics().Energy), float64(m.MaxCongestion()),
+					float64(m.MaxCongestion()) / sqrtf(n)})
+			}
+			return out
 		},
 	})
 
@@ -439,14 +586,13 @@ func BoundSweeps(quick bool) *harness.Registry {
 	// never loses to the naive mapping" claims read these. The candidates
 	// run sequentially inside the point (a point cannot nest a runner), so
 	// the per-point cost scales with the candidate count.
-	for _, name := range []string{"scan", "reduce", "sort"} {
-		w, ok := tuner.ByName(name)
-		if !ok {
-			panic("experiments: unknown tuner workload " + name)
+	for _, w := range tuner.Workloads() {
+		if w.Name == "spmv" {
+			continue // no claim reads a tuned SpMV sweep
 		}
 		ns := w.Sizes(quick)
 		reg.MustRegister(harness.SweepSpec{
-			Name:   "bounds/tuned-" + name,
+			Name:   "bounds/tuned-" + w.Name,
 			Points: len(ns),
 			Cost: func(i int) float64 {
 				return float64(len(w.Candidates)) * w.Cost(ns[i])

@@ -17,10 +17,10 @@ func BenchmarkSweepOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Sweep("overhead", 16, func(j int, env *Env) []Row {
+		r.Go("overhead", 16, func(j int, env *Env) []Row {
 			env.Machine().Set(machine.Coord{}, "v", 1.0)
 			return One(j)
-		})
+		}).Rows()
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkSweepScan(b *testing.B) {
 			r := New(1, WithWorkers(workers))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Sweep("scan", 16, scanPoint)
+				r.Go("scan", 16, scanPoint).Rows()
 			}
 		})
 	}
@@ -69,7 +69,7 @@ func BenchmarkSweepScan(b *testing.B) {
 func BenchmarkCacheHit(b *testing.B) {
 	cache := simcache.New(simcache.Memory(), 0)
 	warm := New(1, WithWorkers(1), WithCache(cache), WithCacheVersion("bench"))
-	warm.Sweep("scan", 16, scanPoint)
+	warm.Go("scan", 16, scanPoint).Rows()
 	before := cache.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()

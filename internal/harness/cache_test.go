@@ -22,11 +22,11 @@ func TestCacheWarmSweepIdenticalAndSimulationFree(t *testing.T) {
 		return measurePoint(i, env)
 	}
 
-	cold := New(42, WithWorkers(3), WithCache(cache), WithCacheVersion("t")).Sweep("warm", 13, counted)
+	cold := New(42, WithWorkers(3), WithCache(cache), WithCacheVersion("t")).Go("warm", 13, counted).Rows()
 	if got := executions.Load(); got != 13 {
 		t.Fatalf("cold run executed %d points, want 13", got)
 	}
-	plain := New(42, WithWorkers(3)).Sweep("warm", 13, measurePoint)
+	plain := New(42, WithWorkers(3)).Go("warm", 13, measurePoint).Rows()
 	if !reflect.DeepEqual(cold, plain) {
 		t.Fatal("cold cached run's rows differ from an uncached run")
 	}
@@ -59,7 +59,7 @@ func TestCacheWarmSweepIdenticalAndSimulationFree(t *testing.T) {
 func TestCacheKeyedBySeedAndOptions(t *testing.T) {
 	cache := simcache.New(simcache.Memory(), 0)
 	base := []Option{WithCache(cache), WithCacheVersion("t"), WithWorkers(1)}
-	New(1, base...).Sweep("keyed", 4, measurePoint)
+	New(1, base...).Go("keyed", 4, measurePoint).Rows()
 	if st := cache.Stats(); st.Misses != 4 {
 		t.Fatalf("priming run: %+v", st)
 	}
@@ -77,14 +77,14 @@ func TestCacheKeyedBySeedAndOptions(t *testing.T) {
 	}
 	for _, v := range variants {
 		before := cache.Stats().Hits
-		New(v.seed, v.opts...).Sweep("keyed", 4, measurePoint, v.sw...)
+		New(v.seed, v.opts...).Go("keyed", 4, measurePoint, v.sw...).Rows()
 		if after := cache.Stats().Hits; after != before {
 			t.Errorf("%s variant hit the cache (%d -> %d hits); key must separate it", v.name, before, after)
 		}
 	}
 	// And the unchanged configuration still hits.
 	before := cache.Stats().Hits
-	New(1, base...).Sweep("keyed", 4, measurePoint)
+	New(1, base...).Go("keyed", 4, measurePoint).Rows()
 	if got := cache.Stats().Hits - before; got != 4 {
 		t.Errorf("identical rerun scored %d hits, want 4", got)
 	}
@@ -117,7 +117,7 @@ func TestCriticalPathCheckFiresOnMissesOnly(t *testing.T) {
 			}
 		}()
 		New(7, WithWorkers(1), WithCriticalPathCheck(), WithCache(cache), WithCacheVersion("t")).
-			Sweep("cp-cache-tamper", 1, tamper)
+			Go("cp-cache-tamper", 1, tamper).Rows()
 	}()
 	if st := cache.Stats(); st.Stores != 0 {
 		t.Errorf("a measurement that failed verification was stored (%+v)", st)
@@ -135,8 +135,8 @@ func TestCriticalPathCheckFiresOnMissesOnly(t *testing.T) {
 		return One(i, mm.Depth)
 	}
 	opts := []Option{WithWorkers(2), WithCriticalPathCheck(), WithCache(cache), WithCacheVersion("t")}
-	cold := New(7, opts...).Sweep("cp-cache-honest", 6, honest)
-	warm := New(7, opts...).Sweep("cp-cache-honest", 6, honest)
+	cold := New(7, opts...).Go("cp-cache-honest", 6, honest).Rows()
+	warm := New(7, opts...).Go("cp-cache-honest", 6, honest).Rows()
 	if executions.Load() != 6 {
 		t.Errorf("warm cpcheck run executed %d points, want 0 (hits skip verification)", executions.Load()-6)
 	}
@@ -152,7 +152,7 @@ func TestCachePanickedAndSkippedPointsNotStored(t *testing.T) {
 	func() {
 		defer func() { recover() }()
 		New(1, WithWorkers(1), WithCache(cache), WithCacheVersion("t")).
-			Sweep("boom", 1, func(i int, env *Env) []Row { panic("kaput") })
+			Go("boom", 1, func(i int, env *Env) []Row { panic("kaput") }).Rows()
 	}()
 	if st := cache.Stats(); st.Stores != 0 {
 		t.Errorf("panicked point stored rows: %+v", st)
@@ -169,7 +169,7 @@ func TestCachePanickedAndSkippedPointsNotStored(t *testing.T) {
 	}
 	// The skipped points must re-run (miss), not resolve to empty rows.
 	rows := New(1, WithWorkers(1), WithCache(cache), WithCacheVersion("t")).
-		Sweep("late", 3, func(i int, env *Env) []Row { return One(i) })
+		Go("late", 3, func(i int, env *Env) []Row { return One(i) }).Rows()
 	if len(rows) != 3 {
 		t.Errorf("rerun produced %d rows, want 3", len(rows))
 	}

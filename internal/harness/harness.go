@@ -319,7 +319,7 @@ func WithCacheVersion(v string) Option {
 }
 
 // Runner executes sweeps on a bounded worker pool. Sweeps enqueued while
-// others are still running share the same workers, so an experiment can
+// others are still running share the same workers, so a driver can
 // overlap several sweeps by calling Go for each and collecting Rows in
 // order — and Go may be called from several goroutines at once, which is
 // how the simulation service multiplexes jobs onto one pooled engine.
@@ -621,11 +621,6 @@ func (r *Runner) Go(name string, n int, point PointFunc, opts ...SweepOption) *S
 		s.wg.Done()
 	}
 	return s
-}
-
-// Sweep runs a sweep to completion: Go followed by Rows.
-func (r *Runner) Sweep(name string, n int, point PointFunc, opts ...SweepOption) []Row {
-	return r.Go(name, n, point, opts...).Rows()
 }
 
 // Rows waits until every point of the sweep has run and returns their rows

@@ -34,7 +34,7 @@ func measurePoint(i int, env *Env) []Row {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	var want []Row
 	for _, workers := range []int{1, 2, 4, 13} {
-		rows := New(42, WithWorkers(workers)).Sweep("det", 31, measurePoint)
+		rows := New(42, WithWorkers(workers)).Go("det", 31, measurePoint).Rows()
 		if workers == 1 {
 			want = rows
 			continue
@@ -48,10 +48,10 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRowOrderUnderScrambledCompletion(t *testing.T) {
 	// Early points sleep so later points finish first; rows must still come
 	// back in point order.
-	rows := New(1, WithWorkers(8)).Sweep("order", 16, func(i int, env *Env) []Row {
+	rows := New(1, WithWorkers(8)).Go("order", 16, func(i int, env *Env) []Row {
 		time.Sleep(time.Duration(16-i) * time.Millisecond)
 		return One(i)
-	})
+	}).Rows()
 	for i, r := range rows {
 		if r[0] != i {
 			t.Fatalf("row %d = %v, want [%d]", i, r, i)
@@ -60,13 +60,13 @@ func TestRowOrderUnderScrambledCompletion(t *testing.T) {
 }
 
 func TestMultiRowPointsFlattenInOrder(t *testing.T) {
-	rows := New(1, WithWorkers(4)).Sweep("multi", 5, func(i int, env *Env) []Row {
+	rows := New(1, WithWorkers(4)).Go("multi", 5, func(i int, env *Env) []Row {
 		out := make([]Row, i%3+1)
 		for j := range out {
 			out[j] = Row{i, j}
 		}
 		return out
-	})
+	}).Rows()
 	want := 0
 	for i := 0; i < 5; i++ {
 		want += i%3 + 1
@@ -88,13 +88,13 @@ func TestPointSeedIndependentOfSiblingPoints(t *testing.T) {
 	// must not perturb each other even when they draw different amounts.
 	draws := func(workers, points int) []int64 {
 		out := make([]int64, points)
-		New(7, WithWorkers(workers)).Sweep("iso", points, func(i int, env *Env) []Row {
+		New(7, WithWorkers(workers)).Go("iso", points, func(i int, env *Env) []Row {
 			for k := 0; k < i*3; k++ { // i-dependent extra draws
 				env.Rng.Int63()
 			}
 			out[i] = env.Rng.Int63()
 			return nil
-		})
+		}).Rows()
 		return out
 	}
 	if !reflect.DeepEqual(draws(1, 9), draws(6, 9)) {
@@ -117,7 +117,7 @@ func TestOverlappedSweepsShareWorkers(t *testing.T) {
 	if reflect.DeepEqual(ar, br) {
 		t.Error("sweeps 'a' and 'b' produced identical rows; names should key the RNG")
 	}
-	if again := r.Sweep("a", 9, measurePoint); !reflect.DeepEqual(ar, again) {
+	if again := r.Go("a", 9, measurePoint).Rows(); !reflect.DeepEqual(ar, again) {
 		t.Error("re-running sweep 'a' on the same runner changed its rows")
 	}
 }
@@ -136,41 +136,41 @@ func TestPointPanicPropagates(t *testing.T) {
 			t.Error("PointPanic carries no stack")
 		}
 	}()
-	New(1, WithWorkers(2)).Sweep("boom", 4, func(i int, env *Env) []Row {
+	New(1, WithWorkers(2)).Go("boom", 4, func(i int, env *Env) []Row {
 		if i == 3 {
 			panic("kaput")
 		}
 		return One(i)
-	})
+	}).Rows()
 	t.Fatal("Rows returned despite point panic")
 }
 
 func TestWithCongestionScopedToSweep(t *testing.T) {
 	r := New(1, WithWorkers(1))
-	rows := r.Sweep("cong", 1, func(i int, env *Env) []Row {
+	rows := r.Go("cong", 1, func(i int, env *Env) []Row {
 		m := env.Machine()
 		m.Set(machine.Coord{}, "v", 1.0)
 		m.Send(machine.Coord{}, "v", machine.Coord{Col: 5}, "v")
 		return One(float64(m.MaxCongestion()))
-	}, WithCongestion())
+	}, WithCongestion()).Rows()
 	if rows[0][0] != 1.0 {
 		t.Errorf("congestion sweep measured max load %v, want 1", rows[0][0])
 	}
 	// The machine goes back to the pool untracked: a follow-up plain sweep
 	// must see zero congestion accounting.
-	rows = r.Sweep("plain", 1, func(i int, env *Env) []Row {
+	rows = r.Go("plain", 1, func(i int, env *Env) []Row {
 		m := env.Machine()
 		m.Set(machine.Coord{}, "v", 1.0)
 		m.Send(machine.Coord{}, "v", machine.Coord{Col: 5}, "v")
 		return One(float64(m.MaxCongestion()))
-	})
+	}).Rows()
 	if rows[0][0] != 0.0 {
 		t.Errorf("plain sweep after congestion sweep measured %v, want 0 (tracker leaked through pool)", rows[0][0])
 	}
 }
 
 func TestMachineResetBetweenMeasures(t *testing.T) {
-	New(1).Sweep("reset", 1, func(i int, env *Env) []Row {
+	New(1).Go("reset", 1, func(i int, env *Env) []Row {
 		first := env.Measure(func(m *machine.Machine) {
 			m.Set(machine.Coord{}, "v", 1.0)
 			m.Send(machine.Coord{}, "v", machine.Coord{Col: 9}, "v")
@@ -188,7 +188,7 @@ func TestMachineResetBetweenMeasures(t *testing.T) {
 		}
 		_ = first
 		return nil
-	})
+	}).Rows()
 }
 
 func TestProgressReporting(t *testing.T) {
@@ -199,7 +199,7 @@ func TestProgressReporting(t *testing.T) {
 		lastDone.Store(int32(done))
 		lastTotal.Store(int32(total))
 	}))
-	r.Sweep("p", 10, func(i int, env *Env) []Row { return One(i) })
+	r.Go("p", 10, func(i int, env *Env) []Row { return One(i) }).Rows()
 	if calls.Load() != 10 {
 		t.Errorf("progress called %d times, want 10", calls.Load())
 	}
@@ -220,7 +220,7 @@ func TestWorkersDefaultAndFloor(t *testing.T) {
 // TestSweepMatchesDirectRuns cross-checks the harness against hand-rolled
 // sequential measurement: same seeds, same machines, same metrics.
 func TestSweepMatchesDirectRuns(t *testing.T) {
-	rows := New(99, WithWorkers(5)).Sweep("x", 8, measurePoint)
+	rows := New(99, WithWorkers(5)).Go("x", 8, measurePoint).Rows()
 	for i := 0; i < 8; i++ {
 		rng := rand.New(rand.NewSource(pointSeed(99, "x", i)))
 		n := 4 + i%7
@@ -250,7 +250,7 @@ func TestWithSinkSharedHeatmap(t *testing.T) {
 	hm := trace.NewHeatmap()
 	r := New(1, WithWorkers(4), WithSink(trace.Synchronized(hm)))
 	var energy, messages int64
-	rows := r.Sweep("sink-heatmap", 32, func(i int, env *Env) []Row {
+	rows := r.Go("sink-heatmap", 32, func(i int, env *Env) []Row {
 		mm := env.Measure(func(m *machine.Machine) {
 			n := 4 + i%5
 			for k := 0; k < n; k++ {
@@ -263,7 +263,7 @@ func TestWithSinkSharedHeatmap(t *testing.T) {
 		atomic.AddInt64(&energy, mm.Energy)
 		atomic.AddInt64(&messages, mm.Messages)
 		return One(i)
-	})
+	}).Rows()
 	if len(rows) != 32 {
 		t.Fatalf("got %d rows, want 32", len(rows))
 	}
@@ -287,7 +287,7 @@ func TestWithSinkSharedHeatmap(t *testing.T) {
 // Par rounds) must reconstruct chains matching its Depth and Distance.
 func TestWithCriticalPathCheckPasses(t *testing.T) {
 	r := New(7, WithWorkers(4), WithCriticalPathCheck())
-	rows := r.Sweep("cp-check", 24, func(i int, env *Env) []Row {
+	rows := r.Go("cp-check", 24, func(i int, env *Env) []Row {
 		// Two measurements per point: verify must fire between them too.
 		_ = env.Measure(func(m *machine.Machine) {
 			m.Set(machine.Coord{}, "v", 1.0)
@@ -308,7 +308,7 @@ func TestWithCriticalPathCheckPasses(t *testing.T) {
 			}
 		})
 		return One(i, mm.Depth)
-	})
+	}).Rows()
 	if len(rows) != 24 {
 		t.Fatalf("got %d rows, want 24", len(rows))
 	}
@@ -329,7 +329,7 @@ func TestWithCriticalPathCheckCatchesTampering(t *testing.T) {
 			t.Errorf("panic from sweep %q", pp.Sweep)
 		}
 	}()
-	r.Sweep("cp-tamper", 1, func(i int, env *Env) []Row {
+	r.Go("cp-tamper", 1, func(i int, env *Env) []Row {
 		m := env.Machine()
 		m.Set(machine.Coord{}, "v", 1.0)
 		m.Send(machine.Coord{}, "v", machine.Coord{Row: 2}, "v")
@@ -341,7 +341,7 @@ func TestWithCriticalPathCheckCatchesTampering(t *testing.T) {
 			}
 		})
 		return One(i)
-	})
+	}).Rows()
 	t.Fatal("sweep with tampered event stream did not panic")
 }
 
@@ -349,12 +349,12 @@ func TestWithCriticalPathCheckCatchesTampering(t *testing.T) {
 // carry a sink into the next lease when the runner has none configured.
 func TestReleasedMachinesDropSinks(t *testing.T) {
 	r := New(1, WithWorkers(1), WithCriticalPathCheck())
-	_ = r.Sweep("first", 1, func(i int, env *Env) []Row {
+	_ = r.Go("first", 1, func(i int, env *Env) []Row {
 		m := env.Machine()
 		m.Set(machine.Coord{}, "v", 1.0)
 		m.Send(machine.Coord{}, "v", machine.Coord{Row: 1}, "v")
 		return One(i)
-	})
+	}).Rows()
 	m := machines.Get().(*machine.Machine)
 	if s := m.Sink(); s != nil {
 		t.Errorf("pooled machine still carries sink %T", s)

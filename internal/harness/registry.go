@@ -7,9 +7,9 @@ import (
 )
 
 // SweepSpec is a named, registrable sweep definition: everything Runner.Go
-// needs, bundled so sweeps can be invoked programmatically by name (the
-// conformance checker and other drivers) instead of only through
-// hand-written experiment code.
+// needs, bundled so every driver (the conformance checker, the table
+// renderer, the simulation service) invokes a sweep by name and measures
+// the same points.
 type SweepSpec struct {
 	// Name keys both the registry lookup and the per-point RNG seeds.
 	Name string

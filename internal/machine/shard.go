@@ -78,6 +78,7 @@ type shardScratch struct {
 	journals [][]shardTouch
 	peaks    []int
 	viols    []shardViolation
+	wg       sync.WaitGroup
 }
 
 func (s *shardScratch) size(n, k int) {
@@ -128,13 +129,14 @@ func (m *Machine) deliverSharded(msgs []roundMsg) {
 		s.buckets[b] = append(s.buckets[b], int32(i))
 	}
 
-	// Delivery pass: one goroutine per shard; every delivery to a given tile
-	// is in exactly one shard, in issue order.
+	// Delivery pass: one goroutine per non-empty shard, the last of them
+	// delivered on the calling goroutine; every delivery to a given tile is
+	// in exactly one shard, in issue order.
 	var top uint64
 	if n := len(m.indepGens); n > 0 {
 		top = m.indepGens[n-1]
 	}
-	var wg sync.WaitGroup
+	last := -1
 	for w := 0; w < k; w++ {
 		if len(s.buckets[w]) == 0 {
 			s.peaks[w] = 0
@@ -142,13 +144,14 @@ func (m *Machine) deliverSharded(msgs []roundMsg) {
 			s.viols[w] = shardViolation{idx: -1}
 			continue
 		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m.deliverShard(msgs, s.buckets[w], top, w)
-		}(w)
+		if last >= 0 {
+			s.wg.Add(1)
+			go m.deliverShardAsync(msgs, last, top)
+		}
+		last = w
 	}
-	wg.Wait()
+	m.deliverShard(msgs, s.buckets[last], top, last)
+	s.wg.Wait()
 
 	// Join: merge shard-local peaks, distribute deferred touches into the
 	// active Independent journals, and surface the earliest memory-limit
@@ -179,6 +182,12 @@ func (m *Machine) deliverSharded(msgs []roundMsg) {
 			panic(first.err)
 		}
 	}
+}
+
+// deliverShardAsync is deliverShard for shard w on its own goroutine.
+func (m *Machine) deliverShardAsync(msgs []roundMsg, w int, top uint64) {
+	defer m.sh.wg.Done()
+	m.deliverShard(msgs, m.sh.buckets[w], top, w)
 }
 
 // deliverShard applies one shard's deliveries in issue order: clock merges,

@@ -16,7 +16,7 @@ package mapping
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -181,9 +181,20 @@ func Space() []Mapping {
 
 // SortMappings orders mappings by their canonical string — the
 // deterministic tie-break and table order used everywhere mappings are
-// listed.
+// listed. Each string is rendered once, not once per comparison.
 func SortMappings(ms []Mapping) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].String() < ms[j].String() })
+	type keyed struct {
+		key string
+		m   Mapping
+	}
+	ks := make([]keyed, len(ms))
+	for i, m := range ms {
+		ks[i] = keyed{m.String(), m}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		ms[i] = k.m
+	}
 }
 
 // RegionFor returns the processor region of shape t that holds exactly n

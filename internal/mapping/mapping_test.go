@@ -2,6 +2,9 @@ package mapping
 
 import (
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/grid"
@@ -64,6 +67,19 @@ func TestSpaceIsUniqueAndValid(t *testing.T) {
 			t.Errorf("duplicate %v", m)
 		}
 		seen[m.String()] = true
+	}
+}
+
+// TestSortMappingsMatchesStringOrder pins SortMappings to the order of a
+// plain sort by String() over the whole space, from a shuffled start.
+func TestSortMappingsMatchesStringOrder(t *testing.T) {
+	want := Space()
+	sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+	got := Space()
+	rand.New(rand.NewSource(1)).Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+	SortMappings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SortMappings order differs from a sort by String():\ngot  %v\nwant %v", got, want)
 	}
 }
 
