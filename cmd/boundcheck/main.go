@@ -24,14 +24,14 @@
 //	                           # any claim that flipped from PASS to FAIL
 //
 // -cache points at a directory of previously computed sweep rows keyed by
-// (sweep, point, seed, shards, batch, code version) — see
-// internal/simcache. Because every sweep point is byte-deterministic in
-// those inputs, a warm rerun produces the *identical* report (table and
-// -json bytes) while skipping the simulation entirely; hit/miss counts go
-// to stderr, never into the report. -server submits the run as a job to a
-// spatiald daemon and polls it; the daemon's own pool settings replace
-// -parallel/-shards/-batch, and -quick/-seed/-maxpoints/-timeout/-run
-// travel with the request.
+// (sweep, point, seed, shards, batch, congestion, backend, code version)
+// — see internal/simcache. Because every sweep point is
+// byte-deterministic in those inputs, a warm rerun produces the
+// *identical* report (table and -json bytes) while skipping the
+// simulation entirely; hit/miss counts go to stderr, never into the
+// report. -server submits the run as a job to a spatiald daemon and polls
+// it; the daemon's own pool settings replace -parallel/-shards/-batch,
+// and -quick/-seed/-maxpoints/-timeout/-run travel with the request.
 //
 // -shards (default GOMAXPROCS) and -batch (default on) change wall-clock
 // only: sweep rows are byte-identical for any setting (see
@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -136,22 +135,14 @@ func run(args []string, stdout, stderr io.Writer, prov provider) int {
 		})
 	}
 
-	reg, claims := prov(*quick)
-	if *runFilter != "" {
-		var kept []bounds.Claim
-		for _, c := range claims {
-			if strings.HasPrefix(c.ID, *runFilter) {
-				kept = append(kept, c)
-			}
+	reg, all := prov(*quick)
+	claims := bounds.Filter(all, *runFilter)
+	if len(claims) == 0 && *runFilter != "" {
+		fmt.Fprintf(stderr, "boundcheck: no claims match -run %q; registered IDs:\n", *runFilter)
+		for _, c := range all {
+			fmt.Fprintf(stderr, "  %s\n", c.ID)
 		}
-		if len(kept) == 0 {
-			fmt.Fprintf(stderr, "boundcheck: no claims match -run %q; registered IDs:\n", *runFilter)
-			for _, c := range claims {
-				fmt.Fprintf(stderr, "  %s\n", c.ID)
-			}
-			return 2
-		}
-		claims = kept
+		return 2
 	}
 
 	if *list {
@@ -178,20 +169,7 @@ func run(args []string, stdout, stderr io.Writer, prov provider) int {
 		opts = append(opts, harness.WithCache(cache))
 	}
 	if *progress {
-		start := time.Now()
-		opts = append(opts, harness.WithWeightedProgress(func(p harness.Progress) {
-			// Cache hits carry no simulation time, so the ETA extrapolates
-			// from simulated cost only (Done−Hit over Total−Hit). An all-hit
-			// run still prints 100% instead of dividing by zero.
-			line := fmt.Sprintf("\r%d/%d points (%3.0f%% of est. cost%s%s)",
-				p.Done, p.Total, 100*p.Fraction(),
-				hitSuffix(p.Hits),
-				etaSuffix(time.Since(start), p.DoneCost-p.HitCost, p.TotalCost-p.HitCost))
-			fmt.Fprint(stderr, line)
-			if p.Done == p.Total {
-				fmt.Fprintln(stderr)
-			}
-		}))
+		opts = append(opts, cliflags.ProgressLine(stderr))
 	}
 
 	rep, err := bounds.Check(harness.New(*seed, opts...), reg, claims,
@@ -220,25 +198,6 @@ func run(args []string, stdout, stderr io.Writer, prov provider) int {
 		return 1
 	}
 	return 0
-}
-
-// etaSuffix renders a cost-weighted remaining-time estimate once enough of
-// the run has finished for extrapolation to mean anything. Callers pass
-// simulated (non-hit) cost so cached points don't skew the rate.
-func etaSuffix(elapsed time.Duration, doneCost, totalCost float64) string {
-	if doneCost <= 0 || totalCost <= doneCost {
-		return ""
-	}
-	eta := time.Duration(float64(elapsed) * (totalCost - doneCost) / doneCost)
-	return ", ETA " + eta.Round(time.Second).String()
-}
-
-// hitSuffix annotates progress lines with the cache-hit count, when any.
-func hitSuffix(hits int) string {
-	if hits == 0 {
-		return ""
-	}
-	return fmt.Sprintf(", %d cached", hits)
 }
 
 func writeTable(w io.Writer, rep bounds.Report) {

@@ -34,7 +34,7 @@
 //	spatialbench -server URL -sweep list          # list the daemon-runnable sweeps
 //
 // -cache keys every sweep point by (sweep, point, seed, shards, batch,
-// congestion, mapping, backend, code version) — see internal/simcache —
+// congestion, backend, code version) — see internal/simcache —
 // so repeat runs replay stored rows instead of simulating; experiment
 // output is byte-identical either way, and hit/miss counts go to stderr.
 // -server submits one registered sweep to a spatiald daemon and prints
@@ -172,12 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := append(pool.HarnessOptions(), harness.WithBackend(bk))
 	if *progress {
-		opts = append(opts, harness.WithProgress(func(done, total int) {
-			fmt.Fprintf(stderr, "\r%d/%d points", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}))
+		opts = append(opts, cliflags.ProgressLine(stderr))
 	}
 	if *cpCheck {
 		opts = append(opts, harness.WithCriticalPathCheck())

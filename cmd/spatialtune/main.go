@@ -15,9 +15,10 @@
 //	spatialtune -cache DIR           # reuse previously simulated points
 //	spatialtune -backend mesh:8x8:4  # tune on a folded finite fabric
 //
-// Every candidate of a workload is measured on the identical input (the
-// mapping travels in the result-cache key, never in the RNG seed), so the
-// verdict compares configurations, not workloads. Output is
+// Each workload is measured by its registered sweep, bounds/tuned-<workload>
+// (the rows the tuner/* conformance claims judge): every point evaluates
+// all candidates on one input, so the verdict compares configurations, not
+// workloads, and a -cache warmed by boundcheck serves the tune. Output is
 // byte-identical for any -parallel/-shards/-batch combination at a fixed
 // -seed, and for cold vs warm -cache runs; the table and -json bytes are
 // a pure function of (workloads, sizes, seed).
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/cliflags"
@@ -114,14 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, harness.WithCache(cache))
 	}
 	if *progress {
-		start := time.Now()
-		opts = append(opts, harness.WithWeightedProgress(func(p harness.Progress) {
-			fmt.Fprintf(stderr, "\r%d/%d points (%3.0f%% of est. cost%s)",
-				p.Done, p.Total, 100*p.Fraction(), etaSuffix(time.Since(start), p.DoneCost-p.HitCost, p.TotalCost-p.HitCost))
-			if p.Done == p.Total {
-				fmt.Fprintln(stderr)
-			}
-		}))
+		opts = append(opts, cliflags.ProgressLine(stderr))
 	}
 
 	r := harness.New(*seed, opts...)
@@ -129,9 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if bk.Finite() {
 		rep.Machine = bk.String()
 	}
-	for _, w := range workloads {
-		rep.Workloads = append(rep.Workloads, tuner.Tune(r, w, *quick))
-	}
+	rep.Workloads = tuner.Tune(r, *quick, workloads...)
 	cacheFlag.ReportStats(stderr, "spatialtune", cache)
 
 	if *jsonOut {
@@ -166,14 +157,4 @@ func writeTable(w io.Writer, rep report, obj tuner.Objective) {
 		}
 	}
 	fmt.Fprint(w, t.String())
-}
-
-// etaSuffix renders a remaining-time estimate from simulated (non-hit)
-// cost, as in boundcheck.
-func etaSuffix(elapsed time.Duration, doneCost, totalCost float64) string {
-	if doneCost <= 0 || totalCost <= doneCost {
-		return ""
-	}
-	eta := time.Duration(float64(elapsed) * (totalCost - doneCost) / doneCost)
-	return ", ETA " + eta.Round(time.Second).String()
 }

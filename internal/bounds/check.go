@@ -3,6 +3,7 @@ package bounds
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/harness"
@@ -12,8 +13,9 @@ import (
 type Options struct {
 	// MaxPoints caps every sweep's point count (0 = no cap). The quick/full
 	// split is chosen when building the sweep registry
-	// (experiments.BoundSweeps); this cap composes with it. Per-point
-	// progress reporting comes from harness.WithProgress on the runner.
+	// (experiments.BoundSweeps); this cap composes with it (see
+	// harness.WithMaxPoints). Per-point progress reporting comes from
+	// harness.WithProgress on the runner.
 	MaxPoints int
 	// Deadline is a per-sweep wall-clock budget (0 = none): points of a
 	// sweep that have not started when its budget expires are skipped and
@@ -63,45 +65,72 @@ func (r Report) Skipped() int {
 	return n
 }
 
+// Filter keeps the claims whose ID starts with prefix, in their order
+// (the -run flag of boundcheck and the daemon's boundcheck jobs). An empty
+// prefix keeps every claim; a prefix matching none returns nil.
+func Filter(claims []Claim, prefix string) []Claim {
+	var kept []Claim
+	for _, c := range claims {
+		if strings.HasPrefix(c.ID, prefix) {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// SweepNames lists the sweeps the claims read, each once, in claim order.
+func SweepNames(claims []Claim) []string {
+	var names []string
+	seen := make(map[string]bool)
+	for _, c := range claims {
+		if !seen[c.Sweep] {
+			seen[c.Sweep] = true
+			names = append(names, c.Sweep)
+		}
+	}
+	return names
+}
+
+// SweepRun is one executed sweep as a report needs it: its rows and how
+// many points its deadline skipped.
+type SweepRun struct {
+	Rows    []harness.Row
+	Skipped int
+}
+
+// Assemble evaluates the claims against their sweeps' runs, keyed by
+// sweep name, and builds the report: verdicts in claim order, sweep stats
+// sorted by name.
+func Assemble(claims []Claim, runs map[string]SweepRun) Report {
+	rep := Report{Sweeps: make([]SweepStat, 0, len(runs)), Verdicts: make([]Verdict, 0, len(claims))}
+	for name, run := range runs {
+		rep.Sweeps = append(rep.Sweeps, SweepStat{Name: name, Rows: len(run.Rows), Skipped: run.Skipped})
+	}
+	sort.Slice(rep.Sweeps, func(i, j int) bool { return rep.Sweeps[i].Name < rep.Sweeps[j].Name })
+	for _, c := range claims {
+		rep.Verdicts = append(rep.Verdicts, c.Eval(runs[c.Sweep].Rows))
+	}
+	return rep
+}
+
 // Check runs every claim's sweep through the runner and evaluates the
 // claims against the measurements. Distinct sweeps are enqueued up front
 // so they overlap across the runner's workers; each sweep runs once no
 // matter how many claims read it. An unknown sweep name is a wiring error,
 // not a failed claim.
 func Check(r *harness.Runner, reg *harness.Registry, claims []Claim, opt Options) (Report, error) {
-	var runOpts []harness.RunOption
-	if opt.MaxPoints > 0 {
-		runOpts = append(runOpts, harness.MaxPoints(opt.MaxPoints))
-	}
-	if opt.Deadline > 0 {
-		runOpts = append(runOpts, harness.Deadline(opt.Deadline))
-	}
-
-	// Enqueue each distinct sweep once, in claim order.
-	handles := make(map[string]*harness.Sweep)
-	for _, c := range claims {
-		if _, seen := handles[c.Sweep]; seen {
-			continue
-		}
-		s, err := reg.Go(r, c.Sweep, runOpts...)
+	names := SweepNames(claims)
+	handles := make([]*harness.Sweep, len(names))
+	for i, name := range names {
+		s, err := reg.Go(r, name, harness.WithMaxPoints(opt.MaxPoints), harness.WithDeadline(opt.Deadline))
 		if err != nil {
-			return Report{}, fmt.Errorf("bounds: claim %s: %w", c.ID, err)
+			return Report{}, fmt.Errorf("bounds: %w", err)
 		}
-		handles[c.Sweep] = s
+		handles[i] = s
 	}
-
-	rowsBySweep := make(map[string][]harness.Row, len(handles))
-	rep := Report{Sweeps: make([]SweepStat, 0, len(handles))}
-	for name, s := range handles {
-		rows := s.Rows()
-		rowsBySweep[name] = rows
-		rep.Sweeps = append(rep.Sweeps, SweepStat{Name: name, Rows: len(rows), Skipped: s.Skipped()})
+	runs := make(map[string]SweepRun, len(names))
+	for i, s := range handles {
+		runs[names[i]] = SweepRun{Rows: s.Rows(), Skipped: s.Skipped()}
 	}
-	sort.Slice(rep.Sweeps, func(i, j int) bool { return rep.Sweeps[i].Name < rep.Sweeps[j].Name })
-
-	rep.Verdicts = make([]Verdict, 0, len(claims))
-	for _, c := range claims {
-		rep.Verdicts = append(rep.Verdicts, c.Eval(rowsBySweep[c.Sweep]))
-	}
-	return rep, nil
+	return Assemble(claims, runs), nil
 }

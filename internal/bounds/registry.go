@@ -209,9 +209,9 @@ func Registry() []Claim {
 	// EDP-minimal mapping found by exhaustive search over the discrete
 	// layout/schedule space strictly beats the row-major default
 	// (mapping.Default()) at every measured size, and the fitted trends
-	// keep it ahead. SpMV is deliberately absent: there the row-major
-	// track *is* EDP-minimal at measured sizes (spatialtune shows a 1.00x
-	// gain), so no dominance claim would hold.
+	// keep it ahead. bounds/tuned-spmv is deliberately unclaimed: there the
+	// row-major track *is* EDP-minimal at measured sizes (spatialtune shows
+	// a 1.00x gain), so no dominance claim would hold.
 	claims = append(claims,
 		Claim{ID: "tuner/scan-tuned-dominates-baseline", Source: "internal/tuner / Sec. IV-C", Primitive: "scan", Metric: Derived,
 			Stated: "tuned mapping (Z-order quadtree) beats the row-major default's EDP everywhere", Kind: Dominates, Sweep: "bounds/tuned-scan",

@@ -98,7 +98,7 @@ func TestRegistrySweepsResolve(t *testing.T) {
 	for _, c := range Registry() {
 		w, probed := width[c.Sweep]
 		if !probed {
-			rows, err := reg.Run(r, c.Sweep, harness.MaxPoints(1))
+			rows, err := reg.Run(r, c.Sweep, harness.WithMaxPoints(1))
 			if err != nil || len(rows) == 0 {
 				t.Fatalf("probing sweep %s: rows=%d err=%v", c.Sweep, len(rows), err)
 			}

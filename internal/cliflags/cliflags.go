@@ -71,18 +71,6 @@ func (b *MachineBackend) Parse() (machine.Backend, error) {
 	return machine.ParseBackend(b.Spec)
 }
 
-// HarnessOption renders the flag as the runner option carrying the
-// backend (harness.WithBackend). The ideal default is explicit rather
-// than omitted: the runner canonicalizes the spec into its cache keys
-// either way.
-func (b *MachineBackend) HarnessOption() (harness.Option, error) {
-	bk, err := b.Parse()
-	if err != nil {
-		return nil, err
-	}
-	return harness.WithBackend(bk), nil
-}
-
 // AddSeed registers the workload-generation -seed flag.
 func AddSeed(fs *flag.FlagSet) *int64 {
 	return fs.Int64("seed", 1, "random seed for workload generation")
@@ -147,4 +135,35 @@ func (c *Cache) ReportStats(w io.Writer, prog string, cache *simcache.Cache) {
 	st := cache.Stats()
 	fmt.Fprintf(w, "%s: cache: %d hits, %d misses, %d stored (dir %s)\n",
 		prog, st.Hits, st.Misses, st.Stores, c.Dir)
+}
+
+// ProgressLine returns the runner option that draws the progress line the
+// CLIs share on w (stderr): resolved points, the cost-weighted fraction,
+// the cached count and an ETA. The line is redrawn in place and ended
+// once every point has resolved.
+func ProgressLine(w io.Writer) harness.Option {
+	start := time.Now()
+	return harness.WithProgress(func(p harness.Progress) {
+		fmt.Fprint(w, progressLine(p, time.Since(start)))
+	})
+}
+
+// progressLine renders one redraw of the progress line after elapsed
+// wall-clock. Cache hits cost no simulation time, so the ETA extrapolates
+// from simulated cost only (Done−Hit over Total−Hit); an all-hit run
+// prints 100% and no ETA instead of dividing by zero.
+func progressLine(p harness.Progress, elapsed time.Duration) string {
+	line := fmt.Sprintf("\r%d/%d points (%3.0f%% of est. cost", p.Done, p.Total, 100*p.Fraction())
+	if p.Hits > 0 {
+		line += fmt.Sprintf(", %d cached", p.Hits)
+	}
+	if done, total := p.DoneCost-p.HitCost, p.TotalCost-p.HitCost; done > 0 && total > done {
+		eta := time.Duration(float64(elapsed) * (total - done) / done)
+		line += ", ETA " + eta.Round(time.Second).String()
+	}
+	line += ")"
+	if p.Done == p.Total {
+		line += "\n"
+	}
+	return line
 }

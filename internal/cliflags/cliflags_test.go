@@ -6,6 +6,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/harness"
+	"repro/internal/simcache"
 )
 
 func newFS() *flag.FlagSet {
@@ -79,5 +83,38 @@ func TestSharedScalarFlags(t *testing.T) {
 	}
 	if *seed != 9 || timeout.Seconds() != 2 || *server != "host:1" {
 		t.Errorf("parsed seed=%d timeout=%v server=%q", *seed, *timeout, *server)
+	}
+}
+
+// TestProgressLine drives the shared progress line through a runner: an
+// all-hit run prints 100% with no ETA and ends its line; a partly
+// simulated run prints an ETA while simulated points remain.
+func TestProgressLine(t *testing.T) {
+	cache := simcache.New(nil, 0)
+	point := func(i int, env *harness.Env) []harness.Row { return harness.One(i) }
+	run := func(points int) string {
+		var buf bytes.Buffer
+		r := harness.New(1, harness.WithWorkers(1), harness.WithCache(cache), harness.WithCacheVersion("t"), ProgressLine(&buf))
+		r.Go("progress", points, point).Rows()
+		return buf.String()
+	}
+	run(2) // warm points 0 and 1
+
+	if got := run(2); got != "\r2/2 points (100% of est. cost, 2 cached)\n" {
+		t.Errorf("all-hit run drew %q", got)
+	}
+	partial := run(4)
+	if !strings.Contains(partial, "\r3/4 points ( 75% of est. cost, 2 cached, ETA ") {
+		t.Errorf("partly simulated run drew no ETA after its first simulated point: %q", partial)
+	}
+	if !strings.HasSuffix(partial, "\r4/4 points (100% of est. cost, 2 cached)\n") {
+		t.Errorf("partly simulated run did not end on a complete line: %q", partial)
+	}
+
+	// The ETA extrapolates from simulated cost only: 2 of 7 simulated cost
+	// units took 10 s, so 5 remain at 5 s each.
+	p := harness.Progress{Done: 3, Total: 4, DoneCost: 3, TotalCost: 8, Hits: 1, HitCost: 1}
+	if got, want := progressLine(p, 10*time.Second), "\r3/4 points ( 38% of est. cost, 1 cached, ETA 25s)"; got != want {
+		t.Errorf("progressLine = %q, want %q", got, want)
 	}
 }

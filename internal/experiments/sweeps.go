@@ -579,34 +579,13 @@ func BoundSweeps(quick bool) *harness.Registry {
 		},
 	})
 
-	// Tuned vs row-major-baseline mappings (internal/tuner): rows
-	// {n, tunedEDP, baselineEDP}. Each point evaluates the workload's whole
-	// candidate space on one shared input and reports the EDP-minimal
-	// configuration next to mapping.Default()'s — the headline "the tuner
-	// never loses to the naive mapping" claims read these. The candidates
-	// run sequentially inside the point (a point cannot nest a runner), so
-	// the per-point cost scales with the candidate count.
+	// Tuned vs row-major-baseline mappings: bounds/tuned-{scan, reduce,
+	// sort, spmv}, rows {n, tunedEDP, baselineEDP, then each candidate's
+	// energy and depth} (tuner.Workload.Sweep, which spatialtune runs too).
+	// The "tuner never loses to the naive mapping" claims read the first
+	// three columns; no claim reads the SpMV sweep.
 	for _, w := range tuner.Workloads() {
-		if w.Name == "spmv" {
-			continue // no claim reads a tuned SpMV sweep
-		}
-		ns := w.Sizes(quick)
-		reg.MustRegister(harness.SweepSpec{
-			Name:   "bounds/tuned-" + w.Name,
-			Points: len(ns),
-			Cost: func(i int) float64 {
-				return float64(len(w.Candidates)) * w.Cost(ns[i])
-			},
-			Point: func(i int, env *harness.Env) []harness.Row {
-				cands := tuner.EvalPoint(w, ns[i], env)
-				best := tuner.MinEDP(cands)
-				base, ok := tuner.Baseline(cands)
-				if !ok {
-					panic("experiments: tuner workload " + w.Name + " has no baseline candidate")
-				}
-				return harness.One(ns[i], best.EDP(), base.EDP())
-			},
-		})
+		reg.MustRegister(w.Sweep(quick))
 	}
 
 	// Graph-analytics suite (composed workloads): bounds/graph-{bfs, cc,

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/mapping"
 	"repro/internal/simcache"
 	"repro/internal/trace"
 )
@@ -56,16 +55,6 @@ type Env struct {
 	cong bool
 	m    *machine.Machine
 	cp   *trace.CriticalPath
-}
-
-// Mapping returns the sweep's layout/schedule mapping (see WithMapping),
-// or mapping.Default() for unmapped sweeps. Points that honor it measure
-// the configuration the sweep was enqueued under.
-func (e *Env) Mapping() mapping.Mapping {
-	if e.s != nil && e.s.mapped {
-		return e.s.mapp
-	}
-	return mapping.Default()
 }
 
 // Machine returns the point's simulation machine, reset to a blank grid.
@@ -175,13 +164,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithProgress installs a callback invoked after every completed point
-// with the number of finished and enqueued points. Calls are serialized
-// but arrive from worker goroutines.
-func WithProgress(f func(done, total int)) Option {
-	return func(r *Runner) { r.progress = f }
-}
-
 // Progress is a runner-level completion snapshot. Done/Total count every
 // resolved point, whether simulated or served from the cache at enqueue
 // time; DoneCost/TotalCost are the corresponding summed cost hints (see
@@ -213,17 +195,19 @@ func (p Progress) Fraction() float64 {
 	return p.DoneCost / p.TotalCost
 }
 
-// WithWeightedProgress is WithProgress with cost weighting: the callback
-// receives the summed cost hints (see WithPointCost) of the finished and
-// enqueued points. On sweeps whose point costs span orders of magnitude —
-// the large-n conformance tail — the cost fraction is the honest
-// completion estimate, where the raw point count would report a sweep
-// "90% done" while the 2^20 point is still running. Points without a cost
-// hint count as cost 1. Cache hits resolve at enqueue time and are
-// reported immediately (a fully cached run still reaches Done == Total);
-// use Progress.HitCost to keep them out of wall-clock extrapolations.
-func WithWeightedProgress(f func(p Progress)) Option {
-	return func(r *Runner) { r.weighted = f }
+// WithProgress installs a callback invoked with the runner's Progress
+// after every resolved point. Besides point counts it carries the summed
+// cost hints (see WithPointCost) of the finished and enqueued points: on
+// sweeps whose point costs span orders of magnitude — the large-n
+// conformance tail — the cost fraction is the honest completion
+// estimate, where the raw point count would report a sweep "90% done"
+// while the 2^20 point is still running. Points without a cost hint
+// count as cost 1. Cache hits resolve at enqueue time and are reported
+// immediately (a fully cached run still reaches Done == Total); use
+// Progress.HitCost to keep them out of wall-clock extrapolations. Calls
+// are serialized but arrive from worker goroutines.
+func WithProgress(f func(p Progress)) Option {
+	return func(r *Runner) { r.progress = f }
 }
 
 // WithLargestFirst makes the workers pick the pending point with the
@@ -258,8 +242,8 @@ func WithShards(k int) Option {
 
 // WithBackend leases every machine with the given hardware backend applied
 // (see machine.SetBackend): messages are costed on a finite W×H mesh or
-// torus fabric instead of the ideal unbounded grid. Like WithMapping, the
-// backend is deliberately NOT part of the per-point RNG seed — runs on
+// torus fabric instead of the ideal unbounded grid. The backend is
+// deliberately NOT part of the per-point RNG seed — runs on
 // different fabrics draw identical workloads, so backend comparisons
 // measure the fabric, not a reshuffled input. It IS part of the simcache
 // key (its canonical String form), so cached rows measured on different
@@ -304,9 +288,9 @@ func WithCriticalPathCheck() Option {
 // completes.
 //
 // Keys cover (sweep name, point index, runner seed, shards, batch,
-// congestion, mapping, machine backend, code version), exactly the inputs
-// that determine a point's rows; see simcache.Key. Every sweep is byte-deterministic in
-// those inputs, so a hit is exact, not approximate.
+// congestion, machine backend, code version), exactly the inputs that
+// determine a point's rows; see simcache.Key. Every sweep is
+// byte-deterministic in those inputs, so a hit is exact, not approximate.
 func WithCache(c *simcache.Cache) Option {
 	return func(r *Runner) { r.cache = c }
 }
@@ -327,8 +311,7 @@ func WithCacheVersion(v string) Option {
 type Runner struct {
 	workers      int
 	seed         int64
-	progress     func(done, total int)
-	weighted     func(p Progress)
+	progress     func(p Progress)
 	sink         trace.Sink
 	cpCheck      bool
 	largestFirst bool
@@ -394,7 +377,6 @@ func (r *Runner) cacheKey(s *Sweep, idx int) simcache.Key {
 		Shards:     shards,
 		Batch:      r.batchSends,
 		Congestion: s.cong,
-		Mapping:    s.mapStr,
 		Machine:    r.backendStr,
 		Version:    r.cacheVersion,
 	}
@@ -402,17 +384,15 @@ func (r *Runner) cacheKey(s *Sweep, idx int) simcache.Key {
 
 // Sweep is a handle to an in-flight sweep; Rows blocks for its results.
 type Sweep struct {
-	name     string
-	point    PointFunc
-	cong     bool
-	cost     func(i int) float64
-	deadline time.Time
-	rows     [][]Row
-	wg       sync.WaitGroup
-	prog     func(done, total int, doneCost, totalCost float64)
-	mapped   bool
-	mapp     mapping.Mapping
-	mapStr   string
+	name      string
+	point     PointFunc
+	cong      bool
+	maxPoints int
+	cost      func(i int) float64
+	deadline  time.Time
+	rows      [][]Row
+	wg        sync.WaitGroup
+	prog      func(done, total int, doneCost, totalCost float64)
 
 	mu        sync.Mutex
 	pan       *PointPanic
@@ -436,27 +416,20 @@ func WithCongestion() SweepOption {
 	return func(s *Sweep) { s.cong = true }
 }
 
-// WithMapping attaches a layout/schedule mapping to the sweep, exposed to
-// its points via Env.Mapping. The mapping is deliberately NOT part of the
-// per-point RNG seed — that stays keyed on (runner seed, sweep name, point
-// index) — so two sweeps sharing a name but differing in mapping draw
-// identical workloads: candidate evaluations in a tuning run measure the
-// same inputs, and only the configuration under test differs. The mapping
-// IS part of the simcache key (its canonical string form), so cached rows
-// of different candidates never alias.
-func WithMapping(m mapping.Mapping) SweepOption {
-	return func(s *Sweep) {
-		s.mapped = true
-		s.mapp = m
-		s.mapStr = m.String()
-	}
+// WithMaxPoints runs only the sweep's first k points (sweeps enumerate
+// problem sizes in increasing order, so the cap drops the most expensive
+// tail). The cap does not reseed: the points that run draw exactly the
+// workloads they draw uncapped. k <= 0 or k beyond the point count runs
+// every point.
+func WithMaxPoints(k int) SweepOption {
+	return func(s *Sweep) { s.maxPoints = k }
 }
 
 // WithPointCost attaches a relative cost hint to each point of the sweep
 // (any monotone proxy for its expected wall-clock, e.g. n^1.5 for a
-// sorting sweep). Costs drive WithLargestFirst scheduling and the
-// doneCost/totalCost arguments of WithWeightedProgress; they never affect
-// results. Without a hint every point costs 1.
+// sorting sweep). Costs drive WithLargestFirst scheduling and the cost
+// fields of Progress; they never affect results. Without a hint every
+// point costs 1.
 func WithPointCost(f func(i int) float64) SweepOption {
 	return func(s *Sweep) { s.cost = f }
 }
@@ -548,10 +521,14 @@ func (p *PointPanic) Error() string {
 // they never reach the queue, so scheduling and deadlines budget only the
 // misses.
 func (r *Runner) Go(name string, n int, point PointFunc, opts ...SweepOption) *Sweep {
-	s := &Sweep{name: name, point: point, rows: make([][]Row, n)}
+	s := &Sweep{name: name, point: point}
 	for _, o := range opts {
 		o(s)
 	}
+	if s.maxPoints > 0 && s.maxPoints < n {
+		n = s.maxPoints
+	}
+	s.rows = make([][]Row, n)
 	costs := make([]float64, n)
 	s.total = n
 	for i := range costs {
@@ -735,7 +712,7 @@ func (r *Runner) snapshotLocked() Progress {
 // final counts. (A snapshot taken before acquiring progressMu could be
 // delivered after a newer one.)
 func (r *Runner) notify() {
-	if r.progress == nil && r.weighted == nil {
+	if r.progress == nil {
 		return
 	}
 	r.progressMu.Lock()
@@ -743,12 +720,7 @@ func (r *Runner) notify() {
 	r.mu.Lock()
 	p := r.snapshotLocked()
 	r.mu.Unlock()
-	if r.progress != nil {
-		r.progress(p.Done, p.Total)
-	}
-	if r.weighted != nil {
-		r.weighted(p)
-	}
+	r.progress(p)
 }
 
 // pointSeed derives a point's RNG seed from (base seed, sweep name, point

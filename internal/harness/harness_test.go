@@ -191,20 +191,35 @@ func TestMachineResetBetweenMeasures(t *testing.T) {
 	}).Rows()
 }
 
+// TestProgressReporting: every point delivers one callback, and the last
+// one carries the final point counts and the summed cost hints.
 func TestProgressReporting(t *testing.T) {
-	var calls atomic.Int32
-	var lastDone, lastTotal atomic.Int32
-	r := New(1, WithWorkers(4), WithProgress(func(done, total int) {
-		calls.Add(1)
-		lastDone.Store(int32(done))
-		lastTotal.Store(int32(total))
-	}))
-	r.Go("p", 10, func(i int, env *Env) []Row { return One(i) }).Rows()
-	if calls.Load() != 10 {
-		t.Errorf("progress called %d times, want 10", calls.Load())
+	ch := make(chan Progress, 16)
+	r := New(1, WithWorkers(4), WithProgress(func(p Progress) { ch <- p }))
+	r.Go("p", 10, func(i int, env *Env) []Row {
+		return One(i)
+	}, WithPointCost(func(i int) float64 { return float64(int(1) << uint(i)) })).Rows()
+	// Each point ticks the runner, delivering its callback synchronously,
+	// before it counts as done, so all 10 callbacks are queued once Rows
+	// returns.
+	if n := len(ch); n != 10 {
+		t.Fatalf("%d progress callbacks queued when Rows returned, want 10", n)
 	}
-	if lastDone.Load() != 10 || lastTotal.Load() != 10 {
-		t.Errorf("final progress = %d/%d, want 10/10", lastDone.Load(), lastTotal.Load())
+	var last Progress
+	for i := 0; i < 10; i++ {
+		last = <-ch
+	}
+	if last.Done != 10 || last.Total != 10 {
+		t.Errorf("final progress %d/%d, want 10/10", last.Done, last.Total)
+	}
+	if last.DoneCost != 1023 || last.TotalCost != 1023 {
+		t.Errorf("final cost progress %v/%v, want 1023/1023 (1+2+...+512)", last.DoneCost, last.TotalCost)
+	}
+	if last.Hits != 0 || last.HitCost != 0 {
+		t.Errorf("uncached run reported hits: %d (%v cost)", last.Hits, last.HitCost)
+	}
+	if last.Fraction() != 1 {
+		t.Errorf("final Fraction() = %v, want 1", last.Fraction())
 	}
 }
 

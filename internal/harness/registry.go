@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // SweepSpec is a named, registrable sweep definition: everything Runner.Go
@@ -78,69 +77,31 @@ func (g *Registry) Lookup(name string) (SweepSpec, bool) {
 	return s, ok
 }
 
-// RunOption configures one registry invocation.
-type RunOption func(*runCfg)
-
-type runCfg struct {
-	maxPoints int
-	deadline  time.Duration
-	progress  func(done, total int, doneCost, totalCost float64)
-}
-
-// MaxPoints caps the number of points run, keeping the first k (sweeps
-// enumerate problem sizes in increasing order, so the cap drops the most
-// expensive tail points). k <= 0 or k beyond the spec's count means "all".
-func MaxPoints(k int) RunOption {
-	return func(c *runCfg) { c.maxPoints = k }
-}
-
-// Deadline gives the invocation a per-sweep wall-clock budget (see
-// WithDeadline): points not started when it expires are skipped. d <= 0
-// means no budget.
-func Deadline(d time.Duration) RunOption {
-	return func(c *runCfg) { c.deadline = d }
-}
-
-// SweepProgress attaches a per-sweep progress callback to the invocation
-// (see WithSweepProgress) — the signal a long-running service streams back
-// to whoever submitted this sweep.
-func SweepProgress(f func(done, total int, doneCost, totalCost float64)) RunOption {
-	return func(c *runCfg) { c.progress = f }
+// Go enqueues the spec on r with its registered options and cost hint,
+// then opts (e.g. WithMaxPoints, WithDeadline, WithSweepProgress).
+func (s SweepSpec) Go(r *Runner, opts ...SweepOption) *Sweep {
+	all := s.Opts[:len(s.Opts):len(s.Opts)]
+	if s.Cost != nil {
+		all = append(all, WithPointCost(s.Cost))
+	}
+	return r.Go(s.Name, s.Points, s.Point, append(all, opts...)...)
 }
 
 // Go enqueues the named sweep on r and returns its handle, or an error for
 // unknown names. The sweep seeds its points exactly as a hand-rolled
-// Runner.Go with the same name would, so capping the point count does not
-// change the workloads of the points that do run.
-func (g *Registry) Go(r *Runner, name string, opts ...RunOption) (*Sweep, error) {
+// Runner.Go with the same name would, so capping the point count
+// (WithMaxPoints) does not change the workloads of the points that do run.
+func (g *Registry) Go(r *Runner, name string, opts ...SweepOption) (*Sweep, error) {
 	spec, ok := g.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown sweep %q (have %v)", name, g.Names())
 	}
-	var cfg runCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	n := spec.Points
-	if cfg.maxPoints > 0 && cfg.maxPoints < n {
-		n = cfg.maxPoints
-	}
-	sweepOpts := spec.Opts
-	if spec.Cost != nil {
-		sweepOpts = append(sweepOpts[:len(sweepOpts):len(sweepOpts)], WithPointCost(spec.Cost))
-	}
-	if cfg.deadline > 0 {
-		sweepOpts = append(sweepOpts[:len(sweepOpts):len(sweepOpts)], WithDeadline(cfg.deadline))
-	}
-	if cfg.progress != nil {
-		sweepOpts = append(sweepOpts[:len(sweepOpts):len(sweepOpts)], WithSweepProgress(cfg.progress))
-	}
-	return r.Go(spec.Name, n, spec.Point, sweepOpts...), nil
+	return spec.Go(r, opts...), nil
 }
 
 // Run is Go followed by Rows: it executes the named sweep to completion
 // and returns its rows in point order.
-func (g *Registry) Run(r *Runner, name string, opts ...RunOption) ([]Row, error) {
+func (g *Registry) Run(r *Runner, name string, opts ...SweepOption) ([]Row, error) {
 	s, err := g.Go(r, name, opts...)
 	if err != nil {
 		return nil, err

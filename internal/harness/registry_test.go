@@ -73,7 +73,7 @@ func TestRegistryMaxPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := g.Run(r, "reg/capped", MaxPoints(3))
+	capped, err := g.Run(r, "reg/capped", WithMaxPoints(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestRegistryMaxPoints(t *testing.T) {
 	}
 	// Out-of-range and non-positive caps mean "all points".
 	for _, k := range []int{0, -1, 99} {
-		rows, err := g.Run(r, "reg/capped", MaxPoints(k))
+		rows, err := g.Run(r, "reg/capped", WithMaxPoints(k))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 5 {
-			t.Errorf("MaxPoints(%d): %d rows, want 5", k, len(rows))
+			t.Errorf("WithMaxPoints(%d): %d rows, want 5", k, len(rows))
 		}
 	}
 }

@@ -33,8 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -461,14 +459,8 @@ func (e *Engine) lead(key string, p sweepParams, f *flight) {
 		close(f.done)
 	}()
 
-	opts := []harness.RunOption{harness.SweepProgress(f.broadcast)}
-	if p.MaxPoints > 0 {
-		opts = append(opts, harness.MaxPoints(p.MaxPoints))
-	}
-	if p.Timeout > 0 {
-		opts = append(opts, harness.Deadline(p.Timeout))
-	}
-	s, err := e.registry(p.Quick).Go(e.runner(p.Seed, p.Backend), p.Name, opts...)
+	s, err := e.registry(p.Quick).Go(e.runner(p.Seed, p.Backend), p.Name,
+		harness.WithSweepProgress(f.broadcast), harness.WithMaxPoints(p.MaxPoints), harness.WithDeadline(p.Timeout))
 	if err != nil {
 		f.err = err
 		return
@@ -559,17 +551,8 @@ func (e *Engine) SubmitBoundcheck(req BoundcheckRequest) (*Job, error) {
 	if len(claims) == 0 {
 		return nil, fmt.Errorf("service: no claim registry configured")
 	}
-	if req.Run != "" {
-		var kept []bounds.Claim
-		for _, c := range claims {
-			if strings.HasPrefix(c.ID, req.Run) {
-				kept = append(kept, c)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("service: no claims match run prefix %q", req.Run)
-		}
-		claims = kept
+	if claims = bounds.Filter(claims, req.Run); len(claims) == 0 {
+		return nil, fmt.Errorf("service: no claims match run prefix %q", req.Run)
 	}
 	seed := defaultSeed(req.Seed)
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
@@ -582,21 +565,13 @@ func (e *Engine) SubmitBoundcheck(req BoundcheckRequest) (*Job, error) {
 		machineMeta = bk.String()
 	}
 	return e.newJob("boundcheck", func(j *Job) {
-		// Distinct sweeps in claim order, exactly like bounds.Check — but
-		// each through the batcher, so concurrent jobs share executions.
-		var names []string
-		seen := make(map[string]bool)
-		for _, c := range claims {
-			if !seen[c.Sweep] {
-				seen[c.Sweep] = true
-				names = append(names, c.Sweep)
-			}
-		}
+		// The sweeps bounds.Check would run, each through the batcher, so
+		// concurrent jobs share executions.
+		names := bounds.SweepNames(claims)
 		type outcome struct {
-			rows    []harness.Row
-			skipped int
-			hits    int
-			err     error
+			bounds.SweepRun
+			hits int
+			err  error
 		}
 		outs := make([]outcome, len(names))
 		var wg sync.WaitGroup
@@ -607,30 +582,23 @@ func (e *Engine) SubmitBoundcheck(req BoundcheckRequest) (*Job, error) {
 				p := sweepParams{Name: name, Quick: req.Quick, Seed: seed,
 					MaxPoints: req.MaxPoints, Timeout: timeout, Backend: bk}
 				rows, skipped, hits, err := e.runSweep(p, func(pr Progress) { j.updateSweep(name, pr) })
-				outs[i] = outcome{rows, skipped, hits, err}
+				outs[i] = outcome{bounds.SweepRun{Rows: rows, Skipped: skipped}, hits, err}
 			}(i, name)
 		}
 		wg.Wait()
 
-		rep := bounds.Report{Sweeps: make([]bounds.SweepStat, 0, len(names))}
-		rowsBySweep := make(map[string][]harness.Row, len(names))
+		runs := make(map[string]bounds.SweepRun, len(names))
 		var hits, skipped int
 		for i, name := range names {
 			if outs[i].err != nil {
 				j.finish(nil, hits, skipped, outs[i].err)
 				return
 			}
-			rowsBySweep[name] = outs[i].rows
+			runs[name] = outs[i].SweepRun
 			hits += outs[i].hits
-			skipped += outs[i].skipped
-			rep.Sweeps = append(rep.Sweeps, bounds.SweepStat{
-				Name: name, Rows: len(outs[i].rows), Skipped: outs[i].skipped})
+			skipped += outs[i].Skipped
 		}
-		sort.Slice(rep.Sweeps, func(a, b int) bool { return rep.Sweeps[a].Name < rep.Sweeps[b].Name })
-		for _, c := range claims {
-			rep.Verdicts = append(rep.Verdicts, c.Eval(rowsBySweep[c.Sweep]))
-		}
-		result, err := bounds.MarshalReportJSON(rep, bounds.RunMeta{
+		result, err := bounds.MarshalReportJSON(bounds.Assemble(claims, runs), bounds.RunMeta{
 			Quick: req.Quick, Seed: seed, MaxPoints: req.MaxPoints,
 			Shards: e.effectiveShards(), Batch: e.cfg.Batch, Machine: machineMeta})
 		j.finish(result, hits, skipped, err)

@@ -43,11 +43,6 @@ type Row = []any
 //     shard-invariance regression would be a correctness bug dressed as a
 //     speedup, so the key is conservative. Congestion tracking genuinely
 //     changes what some sweeps report (MaxCongestion columns).
-//   - Mapping is the canonical layout/schedule string of the sweep's
-//     mapping (internal/mapping), empty for unmapped sweeps. Mapped sweeps
-//     share one name (and so one RNG stream — candidates measure identical
-//     workloads) while producing different rows per mapping, so the
-//     mapping must be part of the address.
 //   - Machine is the canonical spec of the machine backend the point ran
 //     on (machine.Backend.String(): "ideal", "mesh:WxH[:block]",
 //     "torus:WxH[:block]"). Finite backends charge different costs for the
@@ -62,7 +57,6 @@ type Key struct {
 	Shards     int
 	Batch      bool
 	Congestion bool
-	Mapping    string
 	Machine    string
 	Version    string
 }
@@ -92,14 +86,13 @@ func (k Key) Hash() string {
 			h.Write([]byte{0})
 		}
 	}
-	writeStr("simcache/v3")
+	writeStr("simcache/v4")
 	writeStr(k.Sweep)
 	writeInt(int64(k.Point))
 	writeInt(k.Seed)
 	writeInt(int64(k.Shards))
 	writeBool(k.Batch)
 	writeBool(k.Congestion)
-	writeStr(k.Mapping)
 	writeStr(k.Machine)
 	writeStr(k.Version)
 	return hex.EncodeToString(h.Sum(nil))

@@ -13,12 +13,13 @@
 // pure function of (workload, sizes, seed), byte-identical for any
 // worker count and for cold vs warm result caches.
 //
-// Fairness: every candidate of a workload is measured on the *identical*
-// input. Candidate sweeps share one harness sweep name ("tune/<name>"),
-// so the per-point RNG — seeded by (base seed, sweep name, point index)
-// — draws the same workload for each; the mapping travels in the sweep's
-// cache key (harness.WithMapping), never in its RNG seed, so cached rows
-// never alias across candidates.
+// One measurement: each workload is measured by one sweep,
+// "bounds/tuned-<name>" (Workload.Sweep). A point draws one input from
+// its RNG — seeded by (base seed, sweep name, point index) — and
+// evaluates every candidate on it (EvalPoint), so candidates compare
+// configurations, not workloads. experiments.BoundSweeps registers the
+// same spec that Tune runs: spatialtune's verdicts decode exactly the
+// rows the tuner/* conformance claims judge, under the same cache keys.
 package tuner
 
 import (
@@ -40,8 +41,8 @@ import (
 // Workload is one tunable primitive family: a pruned candidate list plus
 // the code that generates an input and runs it under a mapping.
 type Workload struct {
-	// Name keys the tuning sweep ("tune/<Name>") and the CLI's -workload
-	// flag.
+	// Name keys the measurement sweep ("bounds/tuned-<Name>") and the
+	// CLI's -workload flag.
 	Name string
 	// Desc is the one-line description the CLI lists.
 	Desc string
@@ -213,53 +214,71 @@ type Result struct {
 	Sizes    []SizeResult `json:"sizes"`
 }
 
-// Tune evaluates every candidate of w at every size through runner r and
-// returns the per-size verdicts. One sweep per candidate is enqueued up
-// front (all named "tune/<workload>", distinguished by their mapping in
-// the cache key), so the runner's pool interleaves candidates freely;
-// rows are collected in candidate order, keeping the result a pure
-// function of (workload, sizes, seed).
-func Tune(r *harness.Runner, w Workload, quick bool) Result {
-	sizes := w.Sizes(quick)
-	sweeps := make([]*harness.Sweep, len(w.Candidates))
-	for ci, mp := range w.Candidates {
-		sweeps[ci] = r.Go("tune/"+w.Name, len(sizes), func(i int, env *harness.Env) []harness.Row {
-			n := sizes[i]
-			input := w.Gen(env.Rng, n)
-			cur := env.Mapping()
-			mm := env.Measure(func(m *machine.Machine) { w.Run(m, n, input, cur) })
-			return harness.One(n, float64(mm.Energy), float64(mm.Depth))
-		}, harness.WithMapping(mp), harness.WithPointCost(func(i int) float64 { return w.Cost(sizes[i]) }))
+// Sweep is w's one measurement: the "bounds/tuned-<Name>" sweep spec that
+// experiments.BoundSweeps registers and Tune runs. Point i evaluates every
+// candidate at the i-th size on one input (EvalPoint) and returns one row
+// {n, tunedEDP, baselineEDP, energy_0, depth_0, energy_1, depth_1, ...}:
+// the EDP of the EDP-minimal candidate and of mapping.Default() — the
+// columns the tuner/* claims read — then each candidate's energy and depth
+// in Candidates order. The candidates run sequentially inside the point (a
+// point cannot nest a runner), so the cost hint scales with their count.
+func (w Workload) Sweep(quick bool) harness.SweepSpec {
+	ns := w.Sizes(quick)
+	return harness.SweepSpec{
+		Name:   "bounds/tuned-" + w.Name,
+		Points: len(ns),
+		Cost:   func(i int) float64 { return float64(len(w.Candidates)) * w.Cost(ns[i]) },
+		Point: func(i int, env *harness.Env) []harness.Row {
+			cands := EvalPoint(w, ns[i], env)
+			base, ok := Baseline(cands)
+			if !ok {
+				panic("tuner: workload " + w.Name + " has no baseline candidate")
+			}
+			row := make(harness.Row, 0, 3+2*len(cands))
+			row = append(row, ns[i], MinEDP(cands).EDP(), base.EDP())
+			for _, c := range cands {
+				row = append(row, c.Energy, c.Depth)
+			}
+			return []harness.Row{row}
+		},
 	}
-	perSize := make([][]Candidate, len(sizes))
-	for ci, s := range sweeps {
-		for i, row := range s.Rows() {
-			perSize[i] = append(perSize[i], Candidate{
-				Mapping: w.Candidates[ci],
-				Energy:  int64(row[1].(float64)),
-				Depth:   int64(row[2].(float64)),
+}
+
+// Tune runs each workload's measurement sweep (Sweep) through runner r and
+// decodes its rows into per-size verdicts, so the verdicts rest on the
+// rows the tuner/* claims judge and share their cache entries. Every
+// sweep is enqueued before any is collected, so the workloads' points
+// overlap on the runner's pool.
+func Tune(r *harness.Runner, quick bool, ws ...Workload) []Result {
+	sweeps := make([]*harness.Sweep, len(ws))
+	for i, w := range ws {
+		sweeps[i] = w.Sweep(quick).Go(r)
+	}
+	results := make([]Result, len(ws))
+	for i, w := range ws {
+		results[i].Workload = w.Name
+		for _, row := range sweeps[i].Rows() {
+			cands := make([]Candidate, len(w.Candidates))
+			for k, mp := range w.Candidates {
+				cands[k] = Candidate{Mapping: mp, Energy: row[3+2*k].(int64), Depth: row[4+2*k].(int64)}
+			}
+			results[i].Sizes = append(results[i].Sizes, SizeResult{
+				N:          row[0].(int),
+				Candidates: cands,
+				Pareto:     Pareto(cands),
+				MinEnergy:  MinEnergy(cands),
+				MinDepth:   MinDepth(cands),
+				MinEDP:     MinEDP(cands),
 			})
 		}
 	}
-	res := Result{Workload: w.Name}
-	for i, cands := range perSize {
-		res.Sizes = append(res.Sizes, SizeResult{
-			N:          sizes[i],
-			Candidates: cands,
-			Pareto:     Pareto(cands),
-			MinEnergy:  MinEnergy(cands),
-			MinDepth:   MinDepth(cands),
-			MinEDP:     MinEDP(cands),
-		})
-	}
-	return res
+	return results
 }
 
 // EvalPoint measures every candidate of w at size n sequentially inside
-// one sweep point, on one input drawn from env.Rng — the form the bound
-// sweeps use (a harness point cannot nest another runner). Within the
-// point every candidate sees the identical input, so the returned
-// Candidates compare configurations, not workloads.
+// one sweep point, on one input drawn from env.Rng. Every candidate sees
+// the identical input, so the returned Candidates compare configurations,
+// not workloads.
 func EvalPoint(w Workload, n int, env *harness.Env) []Candidate {
 	input := w.Gen(env.Rng, n)
 	cands := make([]Candidate, 0, len(w.Candidates))

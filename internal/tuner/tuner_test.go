@@ -125,7 +125,7 @@ func tuneJSON(t *testing.T, r *harness.Runner, name string) []byte {
 	if !ok {
 		t.Fatalf("workload %s missing", name)
 	}
-	b, err := json.Marshal(Tune(r, w, true))
+	b, err := json.Marshal(Tune(r, true, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTuneDeterministicAcrossCache(t *testing.T) {
 // comparison.
 func TestTuneFindsPaperScanMapping(t *testing.T) {
 	w, _ := ByName("scan")
-	res := Tune(harness.New(1, harness.WithWorkers(4)), w, true)
+	res := Tune(harness.New(1, harness.WithWorkers(4)), true, w)[0]
 	if len(res.Sizes) != len(w.Sizes(true)) {
 		t.Fatalf("got %d sizes, want %d", len(res.Sizes), len(w.Sizes(true)))
 	}
