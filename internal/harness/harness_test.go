@@ -192,13 +192,12 @@ func TestMachineResetBetweenMeasures(t *testing.T) {
 }
 
 // TestProgressReporting: every point delivers one callback, and the last
-// one carries the final point counts and the summed cost hints.
+// one carries the final point counts; points without a cost hint count as
+// cost 1 each.
 func TestProgressReporting(t *testing.T) {
 	ch := make(chan Progress, 16)
 	r := New(1, WithWorkers(4), WithProgress(func(p Progress) { ch <- p }))
-	r.Go("p", 10, func(i int, env *Env) []Row {
-		return One(i)
-	}, WithPointCost(func(i int) float64 { return float64(int(1) << uint(i)) })).Rows()
+	r.Go("p", 10, func(i int, env *Env) []Row { return One(i) }).Rows()
 	// Each point ticks the runner, delivering its callback synchronously,
 	// before it counts as done, so all 10 callbacks are queued once Rows
 	// returns.
@@ -212,14 +211,8 @@ func TestProgressReporting(t *testing.T) {
 	if last.Done != 10 || last.Total != 10 {
 		t.Errorf("final progress %d/%d, want 10/10", last.Done, last.Total)
 	}
-	if last.DoneCost != 1023 || last.TotalCost != 1023 {
-		t.Errorf("final cost progress %v/%v, want 1023/1023 (1+2+...+512)", last.DoneCost, last.TotalCost)
-	}
-	if last.Hits != 0 || last.HitCost != 0 {
-		t.Errorf("uncached run reported hits: %d (%v cost)", last.Hits, last.HitCost)
-	}
-	if last.Fraction() != 1 {
-		t.Errorf("final Fraction() = %v, want 1", last.Fraction())
+	if last.DoneCost != 10 || last.TotalCost != 10 {
+		t.Errorf("final cost progress %v/%v, want 10/10 (unhinted points cost 1)", last.DoneCost, last.TotalCost)
 	}
 }
 

@@ -83,6 +83,41 @@ func TestWithDeadlineZeroMeansNone(t *testing.T) {
 	}
 }
 
+// TestWithWeightedProgress: the progress callback carries the summed cost
+// hints of the finished and enqueued points, so the cost fraction reaches
+// 1 exactly when the last point finishes.
+func TestWithWeightedProgress(t *testing.T) {
+	ch := make(chan Progress, 8)
+	r := New(1, WithWorkers(2), WithProgress(func(p Progress) {
+		ch <- p
+	}))
+	r.Go("sched/weighted", 3, func(i int, env *Env) []Row {
+		return One(i)
+	}, WithPointCost(func(i int) float64 { return float64(int(1) << uint(i)) })).Rows()
+	// Each point ticks the runner, delivering its callback synchronously,
+	// before it counts as done, so all 3 callbacks are queued once Rows
+	// returns.
+	if n := len(ch); n != 3 {
+		t.Fatalf("%d progress callbacks queued when Rows returned, want 3", n)
+	}
+	var last Progress
+	for i := 0; i < 3; i++ {
+		last = <-ch
+	}
+	if last.Done != 3 || last.Total != 3 {
+		t.Errorf("final progress %d/%d, want 3/3", last.Done, last.Total)
+	}
+	if last.DoneCost != 7 || last.TotalCost != 7 {
+		t.Errorf("final cost progress %v/%v, want 7/7 (1+2+4)", last.DoneCost, last.TotalCost)
+	}
+	if last.Hits != 0 || last.HitCost != 0 {
+		t.Errorf("uncached run reported hits: %d (%v cost)", last.Hits, last.HitCost)
+	}
+	if last.Fraction() != 1 {
+		t.Errorf("final Fraction() = %v, want 1", last.Fraction())
+	}
+}
+
 // TestProgressCountsCacheHits: enqueue-time cache hits must still advance
 // runner-level progress (Done, DoneCost) and be flagged via Hits/HitCost —
 // a fully warm run previously produced no progress callbacks at all.
