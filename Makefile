@@ -97,10 +97,10 @@ conformance-full:
 experiments-refresh:
 	$(GO) run ./cmd/boundcheck -full -json
 
-# bench reruns the simulator micro-benchmarks plus two end-to-end
-# measurements — the Table I sort and the MeshSortPoint value/counting pair
-# (whose ns/op ratio records the single-measurement speedup of the batched
-# send API) — plus the warm result-cache benchmark (its hit_rate metric
+# bench reruns the simulator micro-benchmarks plus three end-to-end
+# measurements — the Table I sort and the MeshSortPoint and ScanPoint
+# value/counting pairs (whose ns/op ratios record the single-measurement
+# speedups of the counting-only path) — plus the warm result-cache benchmark (its hit_rate metric
 # tells bench-compare the timing measured cache lookups, not simulation)
 # and rewrites BENCH_machine.json. The machine micro-benchmarks run five
 # times and benchjson records each metric's median, so one sample taken in
@@ -110,7 +110,7 @@ experiments-refresh:
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMachine' -benchmem -count 5 ./internal/machine/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCacheHit' -benchmem ./internal/harness/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkTable1Sort|BenchmarkMeshSortPoint' -benchtime 1x . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTable1Sort|BenchmarkMeshSortPoint|BenchmarkScanPoint' -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_machine.json
 	@echo wrote BENCH_machine.json
 

@@ -156,6 +156,46 @@ func BenchmarkMeshSortPoint(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPoint measures the two nightly-size scans at 2^16 elements
+// — the Z-order Scan (Lemma IV.3) and the row-major tree ScanTrack
+// baseline — along the machine's two send paths, as BenchmarkMeshSortPoint
+// does for the sort: "value" carries the partial sums through registers and
+// Par rounds, "counting" takes the counting form SetBatchSends admits on a
+// sink-free machine (sums host-side, identical
+// Energy/Depth/Distance/Messages).
+func BenchmarkScanPoint(b *testing.B) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(14))
+	vals := workload.Array(workload.Random, n, rng)
+	for _, scan := range []struct {
+		name  string
+		track func(grid.Rect) grid.Track
+		run   func(m *machine.Machine, r grid.Rect)
+	}{
+		{"zorder", grid.ZOrder, func(m *machine.Machine, r grid.Rect) { collectives.Scan(m, r, "v", collectives.Add, 0.0) }},
+		{"tree", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
+			collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
+		}},
+	} {
+		for _, mode := range []struct {
+			name  string
+			batch bool
+		}{{"value", false}, {"counting", true}} {
+			b.Run(scan.name+"/"+mode.name, func(b *testing.B) {
+				m := machine.New()
+				m.SetBatchSends(mode.batch)
+				r := grid.SquareFor(machine.Coord{}, n)
+				for i := 0; i < b.N; i++ {
+					m.Reset()
+					placeBench(m, scan.track(r), vals)
+					scan.run(m, r)
+				}
+				report(b, m)
+			})
+		}
+	}
+}
+
 // BenchmarkBroadcast — Lemma IV.1 on square and elongated subgrids.
 func BenchmarkBroadcast(b *testing.B) {
 	for _, sh := range [][2]int{{64, 64}, {4096, 1}, {256, 16}} {

@@ -24,78 +24,83 @@ import (
 // Total: O(hw + max(h,w) log max(h,w)) energy, O(log n) depth, O(h+w)
 // distance (Lemma IV.1).
 func Broadcast(m *machine.Machine, r grid.Rect, reg machine.Reg) {
-	switch {
-	case r.H <= 0 || r.W <= 0:
+	if r.H <= 0 || r.W <= 0 {
 		panic(fmt.Sprintf("collectives: Broadcast on empty region %v", r))
-	case r.H == 1 && r.W == 1:
-		return
+	}
+	pattern(r, true, func(parent, child machine.Coord) { m.Send(parent, reg, child, reg) })
+}
+
+// BroadcastPattern calls send(from, to) for every message Broadcast sends on
+// the non-empty region r, in the order Broadcast sends them. A caller that
+// keeps the broadcast value host-side charges the pattern on a
+// machine.Wires kernel bound to r's PEs: Broadcast sends the messages one at
+// a time, so the kernel's one-way sends charge exactly what it does.
+func BroadcastPattern(r grid.Rect, send func(from, to machine.Coord)) {
+	pattern(r, true, send)
+}
+
+// pattern walks the message tree Broadcast (down) and Reduce (!down) share
+// on r, calling edge(parent, child) once per message in sending order: a
+// broadcast sends parent->child, a reduce child->parent.
+//
+//   - On an h x 1 column or a 1 x w row it is the binary tree over the
+//     row-major track (BroadcastTrack, ReduceTrack).
+//   - On a square it is the recursive quadrant tree (quadTree). Odd sides
+//     split into uneven halves, so the energy recurrence is
+//     E(w) = 3w/2 + O(1) + 4E(w/2+1) = O(w^2).
+//   - On a general h x w region it cuts the longer side into blocks of side
+//     min(h, w), the last one partial, joins the block corners by the 1-D
+//     tree and recurses into every block. A broadcast reaches the corners
+//     first, a reduce leaves them last.
+func pattern(r grid.Rect, down bool, edge func(parent, child machine.Coord)) {
+	switch {
 	case r.H == 1 || r.W == 1:
-		BroadcastTrack(m, grid.RowMajor(r), reg)
+		t := grid.RowMajor(r)
+		treeEdges(t.Len(), 2, down, func(lo, head int) { edge(t.At(lo), t.At(head)) })
 	case r.H == r.W:
-		broadcast2D(m, r, reg)
-	case r.H > r.W:
-		// 1-D broadcast down the first column, restricted to block corners.
-		blocks := (r.H + r.W - 1) / r.W
-		corners := make([]machine.Coord, blocks)
-		for b := range corners {
-			corners[b] = r.At(b*r.W, 0)
+		quadTree(r, down, edge)
+	default:
+		side := min(r.H, r.W)
+		blocks := (max(r.H, r.W) + side - 1) / side
+		block := func(b int) grid.Rect {
+			if r.H > r.W {
+				return grid.Rect{Origin: r.At(b*side, 0), H: min(side, r.H-b*side), W: r.W}
+			}
+			return grid.Rect{Origin: r.At(0, b*side), H: r.H, W: min(side, r.W-b*side)}
 		}
-		BroadcastTrack(m, grid.Coords(corners...), reg)
+		corners := func(lo, head int) { edge(block(lo).Origin, block(head).Origin) }
+		if down {
+			treeEdges(blocks, 2, true, corners)
+		}
 		for b := 0; b < blocks; b++ {
-			h := r.W
-			if (b+1)*r.W > r.H {
-				h = r.H - b*r.W
-			}
-			sub := grid.Rect{Origin: r.At(b*r.W, 0), H: h, W: r.W}
-			if sub.IsSquare() {
-				broadcast2D(m, sub, reg)
-			} else {
-				Broadcast(m, sub, reg)
-			}
+			pattern(block(b), down, edge)
 		}
-	default: // r.W > r.H: symmetric, blocks along the first row.
-		blocks := (r.W + r.H - 1) / r.H
-		corners := make([]machine.Coord, blocks)
-		for b := range corners {
-			corners[b] = r.At(0, b*r.H)
-		}
-		BroadcastTrack(m, grid.Coords(corners...), reg)
-		for b := 0; b < blocks; b++ {
-			w := r.H
-			if (b+1)*r.H > r.W {
-				w = r.W - b*r.H
-			}
-			sub := grid.Rect{Origin: r.At(0, b*r.H), H: r.H, W: w}
-			if sub.IsSquare() {
-				broadcast2D(m, sub, reg)
-			} else {
-				Broadcast(m, sub, reg)
-			}
+		if !down {
+			treeEdges(blocks, 2, false, corners)
 		}
 	}
 }
 
-// broadcast2D is the recursive quadrant broadcast on a (near-)square
-// region: the origin sends the value to the top-left corners of the other
-// quadrants, then each quadrant recurses. Odd sides split into uneven
-// halves. Energy recurrence E(w) = 3w/2 + O(1) + 4E(w/2+1) = O(w^2).
-//
-// The up-to-three corner sends of one recursion level are mutually
-// independent, so they go out as one Par round (metrics and trace stream
-// are identical to issuing them as singleton Sends — sends never advance
-// the sender's clock).
-func broadcast2D(m *machine.Machine, r grid.Rect, reg machine.Reg) {
+// quadTree walks the quadrant tree of a (near-)square region: r's origin
+// is the parent of the origins of its other quadrants, and every quadrant,
+// square or not, recurses the same way.
+func quadTree(r grid.Rect, down bool, edge func(parent, child machine.Coord)) {
 	quads, k := halfQuadrants(r)
-	v := m.Get(r.Origin, reg)
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
+	edges := func() {
 		for _, q := range quads[:k] {
 			if q.Origin != r.Origin {
-				send(r.Origin, q.Origin, reg, v)
+				edge(r.Origin, q.Origin)
 			}
 		}
-	})
+	}
+	if down {
+		edges()
+	}
 	for _, q := range quads[:k] {
-		broadcast2D(m, q, reg)
+		quadTree(q, down, edge)
+	}
+	if !down {
+		edges()
 	}
 }
 
@@ -139,31 +144,44 @@ func BroadcastTrack(m *machine.Machine, t grid.Track, reg machine.Reg) {
 // against energy (longer average hop on index-contiguous tracks); the tree
 // arity is a mapping knob the tuner searches (internal/tuner).
 func BroadcastTree(m *machine.Machine, t grid.Track, reg machine.Reg, arity int) {
+	treeEdges(t.Len(), arity, true, func(lo, head int) { m.Send(t.At(lo), reg, t.At(head), reg) })
+}
+
+// treeEdges walks the arity-way tree over track indices [0, n) that
+// BroadcastTree and ReduceTree share: the range [lo, hi) splits into arity
+// equal chunks (boundaries lo + i*(hi-lo)/arity), lo is the parent of the
+// head of every non-empty later chunk, and each chunk recurses. edge(lo,
+// head) is called once per tree edge, before the chunks' edges when down
+// (broadcast order) and after them otherwise (reduce order).
+func treeEdges(n, arity int, down bool, edge func(lo, head int)) {
 	if arity < 2 {
-		panic(fmt.Sprintf("collectives: BroadcastTree arity %d < 2", arity))
+		panic(fmt.Sprintf("collectives: tree arity %d < 2", arity))
+	}
+	heads := func(lo, hi int) {
+		for i := 1; i < arity; i++ {
+			if head := lo + i*(hi-lo)/arity; head != lo+(i-1)*(hi-lo)/arity {
+				edge(lo, head) // else an empty chunk (hi-lo < arity)
+			}
+		}
 	}
 	var rec func(lo, hi int)
 	rec = func(lo, hi int) {
 		if hi-lo <= 1 {
 			return
 		}
-		for i := 1; i < arity; i++ {
-			head := lo + i*(hi-lo)/arity
-			prev := lo + (i-1)*(hi-lo)/arity
-			if head == prev || head == hi {
-				continue // empty chunk (hi-lo < arity)
-			}
-			m.Send(t.At(lo), reg, t.At(head), reg)
+		if down {
+			heads(lo, hi)
 		}
 		for i := 0; i < arity; i++ {
-			clo := lo + i*(hi-lo)/arity
-			chi := lo + (i+1)*(hi-lo)/arity
-			if chi > clo {
+			if clo, chi := lo+i*(hi-lo)/arity, lo+(i+1)*(hi-lo)/arity; chi > clo {
 				rec(clo, chi)
 			}
 		}
+		if !down {
+			heads(lo, hi)
+		}
 	}
-	rec(0, t.Len())
+	rec(0, n)
 }
 
 // BroadcastChain broadcasts the value at track position 0 along the track as

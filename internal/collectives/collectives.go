@@ -3,6 +3,13 @@
 // low-depth reduce, the energy-optimal Z-order parallel scan, and segmented
 // variants, together with the naive baselines the paper compares against
 // (binary-tree broadcast/reduce/scan over a 1-D layout, sequential scan).
+//
+// Broadcast and Reduce send along one shared message tree (pattern), which
+// BroadcastPattern and ReducePattern expose to callers that keep their
+// payloads host-side. Scan, ScanTrack and their segmented forms have a
+// counting form (scanHost), taken when the machine reports CountingOnly:
+// the same messages are charged on the machine's Wires kernel and the
+// prefixes are computed on the host.
 package collectives
 
 import (

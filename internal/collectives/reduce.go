@@ -15,72 +15,51 @@ import (
 // logarithmic-depth reduce by a Theta(log n) factor over the binary-tree
 // baseline (ReduceTrack).
 func Reduce(m *machine.Machine, r grid.Rect, reg machine.Reg, op Op) {
-	switch {
-	case r.H <= 0 || r.W <= 0:
+	if r.H <= 0 || r.W <= 0 {
 		panic(fmt.Sprintf("collectives: Reduce on empty region %v", r))
-	case r.H == 1 && r.W == 1:
-		return
-	case r.H == 1 || r.W == 1:
-		ReduceTrack(m, grid.RowMajor(r), reg, op)
-	case r.H == r.W:
-		reduce2D(m, r, reg, op)
-	case r.H > r.W:
-		blocks := (r.H + r.W - 1) / r.W
-		corners := make([]machine.Coord, blocks)
-		for b := 0; b < blocks; b++ {
-			h := r.W
-			if (b+1)*r.W > r.H {
-				h = r.H - b*r.W
-			}
-			sub := grid.Rect{Origin: r.At(b*r.W, 0), H: h, W: r.W}
-			if sub.IsSquare() {
-				reduce2D(m, sub, reg, op)
-			} else {
-				Reduce(m, sub, reg, op)
-			}
-			corners[b] = sub.Origin
-		}
-		ReduceTrack(m, grid.Coords(corners...), reg, op)
-	default: // r.W > r.H
-		blocks := (r.W + r.H - 1) / r.H
-		corners := make([]machine.Coord, blocks)
-		for b := 0; b < blocks; b++ {
-			w := r.H
-			if (b+1)*r.H > r.W {
-				w = r.W - b*r.H
-			}
-			sub := grid.Rect{Origin: r.At(0, b*r.H), H: r.H, W: w}
-			if sub.IsSquare() {
-				reduce2D(m, sub, reg, op)
-			} else {
-				Reduce(m, sub, reg, op)
-			}
-			corners[b] = sub.Origin
-		}
-		ReduceTrack(m, grid.Coords(corners...), reg, op)
 	}
+	f := folder{m: m, reg: reg, op: op}
+	pattern(r, false, f.recv)
+	f.flush()
 }
 
-// reduce2D reduces a (near-)square region to its origin by reversing the
-// recursive quadrant broadcast. Odd sides split into uneven halves.
-func reduce2D(m *machine.Machine, r grid.Rect, reg machine.Reg, op Op) {
-	quads, k := halfQuadrants(r)
-	if k == 0 {
-		return
+// ReducePattern calls send(from, to) for every message Reduce sends on the
+// non-empty region r, in the order Reduce sends them (see BroadcastPattern).
+func ReducePattern(r grid.Rect, send func(from, to machine.Coord)) {
+	pattern(r, false, func(parent, child machine.Coord) { send(child, parent) })
+}
+
+// folder applies a reduce pattern on the value path. Each child sends its
+// partial result in register reg to its parent, which folds it into its
+// own: reg = op(reg, received). A run of messages to one parent folds into
+// a host-side accumulator, and the parent's register is written once, when
+// the next message goes elsewhere (or at flush), so before that parent
+// sends on.
+type folder struct {
+	m      *machine.Machine
+	reg    machine.Reg
+	op     Op
+	parent machine.Coord
+	acc    machine.Value
+	open   bool
+}
+
+func (f *folder) recv(parent, child machine.Coord) {
+	if !f.open || parent != f.parent {
+		f.flush()
+		f.parent, f.acc, f.open = parent, f.m.Get(parent, f.reg), true
 	}
-	for _, q := range quads[:k] {
-		reduce2D(m, q, reg, op)
+	f.m.Send(child, f.reg, parent, "reduce.in")
+	f.acc = f.op(f.acc, f.m.Get(parent, "reduce.in"))
+}
+
+// flush writes the open run's result to its parent.
+func (f *folder) flush() {
+	if f.open {
+		f.m.Del(f.parent, "reduce.in")
+		f.m.Set(f.parent, f.reg, f.acc)
+		f.open = false
 	}
-	acc := m.Get(r.Origin, reg)
-	for _, q := range quads[:k] {
-		if q.Origin == r.Origin {
-			continue
-		}
-		m.Send(q.Origin, reg, r.Origin, "reduce.in")
-		acc = op(acc, m.Get(r.Origin, "reduce.in"))
-	}
-	m.Del(r.Origin, "reduce.in")
-	m.Set(r.Origin, reg, acc)
 }
 
 // ReduceTrack reduces the values at all track positions to position 0 with a
@@ -97,34 +76,9 @@ func ReduceTrack(m *machine.Machine, t grid.Track, reg machine.Reg, op Op) {
 // folds them in chunk order. Arity 2 reproduces ReduceTrack's binary
 // recursion exactly — same messages in the same order.
 func ReduceTree(m *machine.Machine, t grid.Track, reg machine.Reg, op Op, arity int) {
-	if arity < 2 {
-		panic(fmt.Sprintf("collectives: ReduceTree arity %d < 2", arity))
-	}
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo <= 1 {
-			return
-		}
-		for i := 0; i < arity; i++ {
-			clo := lo + i*(hi-lo)/arity
-			chi := lo + (i+1)*(hi-lo)/arity
-			if chi > clo {
-				rec(clo, chi)
-			}
-		}
-		for i := 1; i < arity; i++ {
-			head := lo + i*(hi-lo)/arity
-			prev := lo + (i-1)*(hi-lo)/arity
-			if head == prev {
-				continue // empty chunk (hi-lo < arity)
-			}
-			m.Send(t.At(head), reg, t.At(lo), "reduce.in")
-			v := op(m.Get(t.At(lo), reg), m.Get(t.At(lo), "reduce.in"))
-			m.Del(t.At(lo), "reduce.in")
-			m.Set(t.At(lo), reg, v)
-		}
-	}
-	rec(0, t.Len())
+	f := folder{m: m, reg: reg, op: op}
+	treeEdges(t.Len(), arity, false, func(lo, head int) { f.recv(t.At(lo), t.At(head)) })
+	f.flush()
 }
 
 // AllReduce combines the values of register reg across r with op and leaves

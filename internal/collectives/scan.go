@@ -20,17 +20,30 @@ import (
 // the same tree. Costs (Lemma IV.3): O(n) energy, O(log n) depth, O(sqrt n)
 // distance. op must be associative; identity must satisfy
 // op(identity, x) = x.
+//
+// When the machine reports CountingOnly, Scan runs its counting form
+// (scanHost with zscan): same messages, costs and prefixes, with the values
+// kept host-side.
 func Scan(m *machine.Machine, r grid.Rect, reg machine.Reg, op Op, identity machine.Value) machine.Value {
-	if !r.IsSquare() || !zorder.IsPow2(r.H) {
-		panic(fmt.Sprintf("collectives: Scan requires square power-of-two region, got %v", r))
+	height := scanHeight(r)
+	if m.CountingOnly() {
+		return scanHost(m, grid.ZOrder(r), reg, "", op, identity, zscan)
 	}
-	height := zorder.Log2(r.H)
 	upsweep(m, r, height, reg, op)
 	root := scanHolder(r, height)
 	total := m.Get(root, sumReg(height))
 	m.Set(root, downReg(height), identity)
 	downsweep(m, r, height, reg, op)
 	return total
+}
+
+// scanHeight returns the height of Scan's summation tree over r, which must
+// be a square power-of-two region.
+func scanHeight(r grid.Rect) int {
+	if !r.IsSquare() || !zorder.IsPow2(r.H) {
+		panic(fmt.Sprintf("collectives: Scan requires square power-of-two region, got %v", r))
+	}
+	return zorder.Log2(r.H)
 }
 
 // Register names used by the scan's summation tree are qualified by tree
@@ -135,13 +148,16 @@ func downsweep(m *machine.Machine, sub grid.Rect, k int, reg machine.Reg, op Op)
 // Over a row-major layout this is the naive 1-D scan baseline of Section
 // IV-C with Theta(n log n) energy and O(log n) depth; over a single column
 // it matches the 1-D tree bounds.
+//
+// When the machine reports CountingOnly, ScanTrack runs its counting form
+// (scanHost with treeScan).
 func ScanTrack(m *machine.Machine, t grid.Track, reg machine.Reg, op Op, identity machine.Value) machine.Value {
-	n := t.Len()
-	if !zorder.IsPow2(n) {
-		panic(fmt.Sprintf("collectives: ScanTrack requires power-of-two length, got %d", n))
-	}
+	n := trackLen(t)
 	if n == 1 {
 		return m.Get(t.At(0), reg)
+	}
+	if m.CountingOnly() {
+		return scanHost(m, t, reg, "", op, identity, treeScan)
 	}
 	// Keep the original elements so the exclusive result can be turned
 	// into an inclusive one locally.
@@ -191,6 +207,156 @@ func ScanTrack(m *machine.Machine, t grid.Track, reg machine.Reg, op Op, identit
 	return total
 }
 
+// trackLen returns the length of a ScanTrack track, which must be a power
+// of two.
+func trackLen(t grid.Track) int {
+	n := t.Len()
+	if !zorder.IsPow2(n) {
+		panic(fmt.Sprintf("collectives: ScanTrack requires power-of-two length, got %d", n))
+	}
+	return n
+}
+
+// scanHost is the counting form of the scans, taken when the machine
+// reports CountingOnly. It reads register reg along t once, binds the
+// machine's Wires kernel to t's PEs (wire i is t.At(i)), and lets scan
+// charge the value path's messages in the value path's order while it
+// combines the values host-side in the value path's association order, so
+// costs, clocks and prefixes (floating-point ones included) are those of
+// the value path. Only the final prefixes are written back; no scratch
+// register materializes. A non-empty headReg makes it the segmented scan:
+// the values are wrapped in Seg host-side (see segHead) and unwrapped
+// before the write-back.
+//
+// Sequential one-way sends charge a Par round exactly when no charged
+// sender of the round also receives in it. That holds for every round of
+// both scans: an up-sweep round sends from child roots (or left children)
+// to their parent, a down-sweep round from a parent to its children; the
+// only PE that is both is the height-1 holder sending to itself, which is
+// free. ScanTrack's down-sweep pairs are compare-exchanges.
+func scanHost(m *machine.Machine, t grid.Track, reg, headReg machine.Reg, op Op, identity machine.Value, scan hostScan) machine.Value {
+	n := t.Len()
+	cs, vals := make([]machine.Coord, n), make([]machine.Value, n)
+	for i := range cs {
+		cs[i] = t.At(i)
+	}
+	w := m.BindWires(cs)
+	w.Load(reg, vals)
+	if headReg != "" {
+		for i, c := range cs {
+			vals[i] = Seg{Val: vals[i], Head: segHead(m, c, headReg, i)}
+		}
+	}
+	total := scan(w, vals, op, identity)
+	if headReg != "" {
+		for i, v := range vals {
+			vals[i] = v.(Seg).Val
+		}
+	}
+	w.Store(reg, vals)
+	w.Close()
+	return total
+}
+
+// hostScan charges a scan's messages on w, whose wire i holds vals[i], and
+// replaces vals with the inclusive prefixes; it returns the total.
+type hostScan func(w *machine.Wires, vals []machine.Value, op Op, identity machine.Value) machine.Value
+
+// zscan is Scan's counting form over wires in Z-order (see scanHost).
+func zscan(w *machine.Wires, vals []machine.Value, op Op, identity machine.Value) machine.Value {
+	s := zscanner{w: w, vals: vals, part: make([]machine.Value, len(vals)/4), op: op}
+	height := zorder.Log2(len(vals)) / 2
+	total := s.up(0, height)
+	s.down(0, height, identity)
+	return total
+}
+
+// zscanner holds a zscan. The subtree of height k at Z-offset base has its
+// root at wire base+k (scanHolder).
+type zscanner struct {
+	w    *machine.Wires
+	vals []machine.Value // the elements, then their inclusive prefixes
+	part []machine.Value // the sums of the subtrees of height >= 1 (slot)
+	op   Op
+}
+
+// slot is where part keeps the sum of the subtree of height k >= 1 at base.
+// A subtree shares its slot only with its last child, whose sum the
+// down-sweep never reads.
+func slot(base, k int) int { return base/4 + 1<<(2*k-2) - 1 }
+
+// sum returns the sum of the subtree of height k at base: the element
+// itself at height 0.
+func (s *zscanner) sum(base, k int) machine.Value {
+	if k == 0 {
+		return s.vals[base]
+	}
+	return s.part[slot(base, k)]
+}
+
+// up charges the subtree's up-sweep and returns its sum.
+func (s *zscanner) up(base, k int) machine.Value {
+	if k == 0 {
+		return s.vals[base]
+	}
+	q := 1 << (2*k - 2)
+	acc := s.up(base, k-1)
+	for i := 1; i < 4; i++ {
+		acc = s.op(acc, s.up(base+i*q, k-1))
+	}
+	for i := 0; i < 4; i++ {
+		s.w.Send(base+i*q+k-1, base+k)
+	}
+	s.part[slot(base, k)] = acc
+	return acc
+}
+
+// down charges the subtree's down-sweep from its exclusive prefix x.
+func (s *zscanner) down(base, k int, x machine.Value) {
+	if k == 0 {
+		s.vals[base] = s.op(x, s.vals[base])
+		return
+	}
+	q := 1 << (2*k - 2)
+	for i := 0; i < 4; i++ {
+		s.w.Send(base+k, base+i*q+k-1)
+	}
+	for i := 0; i < 4; i++ {
+		next := x
+		if i < 3 {
+			next = s.op(x, s.sum(base+i*q, k-1)) // before down overwrites a leaf
+		}
+		s.down(base+i*q, k-1, x)
+		x = next
+	}
+}
+
+// treeScan is ScanTrack's counting form (see scanHost), on n >= 2 wires
+// in track order.
+func treeScan(w *machine.Wires, vals []machine.Value, op Op, identity machine.Value) machine.Value {
+	n := len(vals)
+	orig := append([]machine.Value(nil), vals...)
+	for d := 1; d < n; d *= 2 {
+		for k := 0; k+2*d <= n; k += 2 * d {
+			w.Send(k+d-1, k+2*d-1)
+			vals[k+2*d-1] = op(vals[k+d-1], vals[k+2*d-1])
+		}
+	}
+	total := vals[n-1]
+	vals[n-1] = identity
+	for d := n / 2; d >= 1; d /= 2 {
+		for k := 0; k+2*d <= n; k += 2 * d {
+			l, r := k+d-1, k+2*d-1
+			w.Exchange(l, r)
+			vals[l], vals[r] = vals[r], op(vals[r], vals[l])
+		}
+	}
+	for i := range vals {
+		vals[i] = op(vals[i], orig[i])
+	}
+	return total
+}
+
 // ScanSequential computes the inclusive prefix combination along track t
 // with a sequential relay chain: O(sum of consecutive track distances)
 // energy — Theta(n) on Z-order and row-major layouts — but Theta(n) depth.
@@ -233,21 +399,37 @@ func Segmented(op Op) Op {
 // true value in register headReg marks the first element of each segment.
 // Position 0 is treated as a segment head implicitly. Same costs as Scan.
 func SegmentedScan(m *machine.Machine, r grid.Rect, reg, headReg machine.Reg, op Op, identity machine.Value) {
-	t := grid.ZOrder(r)
+	scanHeight(r)
+	segmented(m, grid.ZOrder(r), reg, headReg, op, identity, zscan, func() {
+		Scan(m, r, reg, Segmented(op), Seg{Val: identity})
+	})
+}
+
+// segmented runs a segmented scan along t: on the counting path it hands
+// the segment heads to scanHost with the host-side scan, on the value path
+// it wraps the values in Seg registers around valueScan and unwraps them.
+func segmented(m *machine.Machine, t grid.Track, reg, headReg machine.Reg, op Op, identity machine.Value, scan hostScan, valueScan func()) {
+	if m.CountingOnly() && t.Len() > 1 {
+		scanHost(m, t, reg, headReg, Segmented(op), Seg{Val: identity}, scan)
+		return
+	}
 	n := t.Len()
 	for i := 0; i < n; i++ {
 		c := t.At(i)
-		head := i == 0
-		if v, ok := m.Lookup(c, headReg); ok && v.(bool) {
-			head = true
-		}
-		m.Set(c, reg, Seg{Val: m.Get(c, reg), Head: head})
+		m.Set(c, reg, Seg{Val: m.Get(c, reg), Head: segHead(m, c, headReg, i)})
 	}
-	Scan(m, r, reg, Segmented(op), Seg{Val: identity})
+	valueScan()
 	for i := 0; i < n; i++ {
 		c := t.At(i)
 		m.Set(c, reg, m.Get(c, reg).(Seg).Val)
 	}
+}
+
+// segHead reports whether track position i at c starts a segment: position
+// 0 always does, any other when its headReg holds true.
+func segHead(m *machine.Machine, c machine.Coord, headReg machine.Reg, i int) bool {
+	v, ok := m.Lookup(c, headReg)
+	return i == 0 || ok && v.(bool)
 }
 
 // SegmentedScanTrack is SegmentedScan along an arbitrary track, realized
@@ -256,18 +438,8 @@ func SegmentedScan(m *machine.Machine, r grid.Rect, reg, headReg machine.Reg, op
 // spmv.MultiplyMapped) scan in the order they sorted in. Same costs as
 // ScanTrack.
 func SegmentedScanTrack(m *machine.Machine, t grid.Track, reg, headReg machine.Reg, op Op, identity machine.Value) {
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		c := t.At(i)
-		head := i == 0
-		if v, ok := m.Lookup(c, headReg); ok && v.(bool) {
-			head = true
-		}
-		m.Set(c, reg, Seg{Val: m.Get(c, reg), Head: head})
-	}
-	ScanTrack(m, t, reg, Segmented(op), Seg{Val: identity})
-	for i := 0; i < n; i++ {
-		c := t.At(i)
-		m.Set(c, reg, m.Get(c, reg).(Seg).Val)
-	}
+	trackLen(t)
+	segmented(m, t, reg, headReg, op, identity, treeScan, func() {
+		ScanTrack(m, t, reg, Segmented(op), Seg{Val: identity})
+	})
 }

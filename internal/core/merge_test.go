@@ -413,16 +413,17 @@ func TestTaggedRanksMatchPairCount(t *testing.T) {
 	}
 }
 
-// runMergePin runs op on an n-element input on the square of side sqrt(n)
-// and returns the machine. "random" draws uniform values; "runs" is the
-// sorted-runs input graph edge keys produce: Merge's A lies wholly below
-// its B, and MergeSort's values ascend along the Z-order track, so every
-// quadrant lies below the next and every merge is one-sided below its
-// top-level split.
-func runMergePin(op, input string, n int) (*machine.Machine, grid.Rect) {
+// runMergePin runs op on an n-element input on the square of side sqrt(n),
+// on the counting-only path when batch is set, and returns the machine.
+// "random" draws uniform values; "runs" is the sorted-runs input graph edge
+// keys produce: Merge's A lies wholly below its B, and MergeSort's values
+// ascend along the Z-order track, so every quadrant lies below the next and
+// every merge is one-sided below its top-level split.
+func runMergePin(op, input string, n int, batch bool) (*machine.Machine, grid.Rect) {
 	r := grid.Square(machine.Coord{}, isqrt(n))
 	rng := rand.New(rand.NewSource(int64(n)))
 	m := machine.New()
+	m.SetBatchSends(batch)
 	switch op {
 	case "Merge":
 		a, b := sortedRandom(rng, n/2, 1000), sortedRandom(rng, n/2, 1000)
@@ -454,6 +455,8 @@ func runMergePin(op, input string, n int) (*machine.Machine, grid.Rect) {
 // TestMergeCostsPinned pins the model's costs of Merge and MergeSort, so
 // host-side rewrites of the value path cannot move them. The values were
 // recorded before ranks were computed by sorting instead of pair counting.
+// The counting-only path (SetBatchSends) must charge the same costs; its
+// PeakMemory may only be lower, since its payloads stay host-side.
 func TestMergeCostsPinned(t *testing.T) {
 	cases := []struct {
 		op, input string
@@ -471,17 +474,23 @@ func TestMergeCostsPinned(t *testing.T) {
 		{"MergeSort", "runs", 4096, machine.Metrics{Energy: 4387091, Depth: 618, Distance: 5121, Messages: 1244003, PeakMemory: 6}, 5600},
 	}
 	for _, c := range cases {
-		m, r := runMergePin(c.op, c.input, c.n)
-		if got := m.Metrics(); got != c.want {
-			t.Errorf("%s %s n=%d: %v, want %v", c.op, c.input, c.n, got, c.want)
-		}
-		if got := m.TouchedPEs(); got != c.touched {
-			t.Errorf("%s %s n=%d: %d touched PEs, want %d", c.op, c.input, c.n, got, c.touched)
-		}
-		out := grid.RowMajor(r)
-		for i := 1; i < c.n; i++ {
-			if m.Get(out.At(i), "v").(float64) < m.Get(out.At(i-1), "v").(float64) {
-				t.Fatalf("%s %s n=%d: output unsorted at %d", c.op, c.input, c.n, i)
+		for _, batch := range []bool{false, true} {
+			m, r := runMergePin(c.op, c.input, c.n, batch)
+			got := m.Metrics()
+			if batch && got.PeakMemory <= c.want.PeakMemory {
+				got.PeakMemory = c.want.PeakMemory
+			}
+			if got != c.want {
+				t.Errorf("%s %s n=%d batch=%v: %v, want %v", c.op, c.input, c.n, batch, m.Metrics(), c.want)
+			}
+			if got := m.TouchedPEs(); got != c.touched {
+				t.Errorf("%s %s n=%d batch=%v: %d touched PEs, want %d", c.op, c.input, c.n, batch, got, c.touched)
+			}
+			out := grid.RowMajor(r)
+			for i := 1; i < c.n; i++ {
+				if m.Get(out.At(i), "v").(float64) < m.Get(out.At(i-1), "v").(float64) {
+					t.Fatalf("%s %s n=%d batch=%v: output unsorted at %d", c.op, c.input, c.n, batch, i)
+				}
 			}
 		}
 	}

@@ -215,12 +215,17 @@ func selectSmall(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, ks []in
 // row-major tracks the merge uses, the bounding rectangle has O(len) area,
 // so this costs O(len) energy, O(log len) depth and O(diam) distance —
 // replacing the paper's binary search as described in DESIGN.md (subst. 2).
+// When the machine reports CountingOnly, countBelowHost charges the same
+// messages and counts host-side.
 func countBelow(m *machine.Machine, t grid.Track, reg machine.Reg, src int8, x tagged, from machine.Coord, less order.Less) int {
 	n := t.Len()
 	if n == 0 {
 		return 0
 	}
 	box := boundingRect(t)
+	if m.CountingOnly() {
+		return countBelowHost(m, t, reg, src, x, from, less, box)
+	}
 	m.SendValue(from, box.Origin, "sel2.x", x)
 	collectives.Broadcast(m, box, "sel2.x")
 	// Indicator: 1 on track cells below the pivot, 0 elsewhere in the box.
@@ -243,6 +248,38 @@ func countBelow(m *machine.Machine, t grid.Track, reg machine.Reg, src int8, x t
 			m.Del(box.At(row, col), "sel2.x")
 		}
 	}
+	return cnt
+}
+
+// countBelowHost is countBelow's counting form: it counts the elements
+// below x host-side, then charges the pivot's send to the box origin and
+// the Broadcast and Reduce patterns on one binding of the machine's Wires
+// kernel to the box's PEs (and to from, when it lies outside the box), so
+// no sel2.x or sel2.cnt register materializes.
+func countBelowHost(m *machine.Machine, t grid.Track, reg machine.Reg, src int8, x tagged, from machine.Coord, less order.Less, box grid.Rect) int {
+	cnt := 0
+	for i := 0; i < t.Len(); i++ {
+		if (tagged{v: m.Get(t.At(i), reg), src: src, idx: i}).before(x, less) {
+			cnt++
+		}
+	}
+	cs := make([]machine.Coord, box.Size(), box.Size()+1)
+	for i := range cs {
+		cs[i] = box.At(i/box.W, i%box.W)
+	}
+	wire := func(c machine.Coord) int { return (c.Row-box.Origin.Row)*box.W + c.Col - box.Origin.Col }
+	fromWire := len(cs)
+	if box.Contains(from) {
+		fromWire = wire(from)
+	} else {
+		cs = append(cs, from)
+	}
+	w := m.BindWires(cs)
+	send := func(a, b machine.Coord) { w.Send(wire(a), wire(b)) }
+	w.Send(fromWire, 0)
+	collectives.BroadcastPattern(box, send)
+	collectives.ReducePattern(box, send)
+	w.Close()
 	return cnt
 }
 

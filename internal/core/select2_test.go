@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -226,6 +227,79 @@ func TestSelectInSortedLeavesInputsIntact(t *testing.T) {
 	for i, v := range b {
 		if got := m.Get(tB.At(i), "v").(float64); got != v {
 			t.Fatalf("B[%d] mutated: %v != %v", i, got, v)
+		}
+	}
+}
+
+// TestCountBelowCountingMatchesValue: countBelow's counting form must leave
+// what its value path leaves — the count, metrics (PeakMemory at most the
+// value path's), touched PEs, congestion, per-PE clocks and every live
+// register — on boxes of every shape the broadcast and reduce patterns
+// distinguish (1x1, 1-D, square, odd square, h > w and w > h with partial
+// blocks, and a track that fills its box only partly), with the pivot
+// arriving from outside the box, from its origin and from inside it, under
+// every backend kind, with congestion off and on, at top level and inside
+// nested Independent branches, on 1 and 4 shards.
+func TestCountBelowCountingMatchesValue(t *testing.T) {
+	origin := machine.Coord{Row: -3, Col: -5}
+	var tracks []grid.Track
+	for _, s := range [][2]int{{1, 1}, {1, 7}, {6, 1}, {4, 4}, {5, 5}, {7, 3}, {3, 8}} {
+		tracks = append(tracks, grid.RowMajor(grid.Rect{Origin: origin, H: s[0], W: s[1]}))
+	}
+	tracks = append(tracks, grid.Slice(grid.RowMajor(grid.Rect{Origin: origin, H: 3, W: 8}), 5, 13))
+	run := func(bk machine.Backend, tr grid.Track, from machine.Coord, cong, nested, counting bool, shards int) (peak int, state string) {
+		m := machine.New()
+		m.SetBackend(bk)
+		m.SetShards(shards)
+		m.SetBatchSends(counting)
+		if cong {
+			m.EnableCongestionTracking()
+		}
+		for i := 0; i < tr.Len(); i++ {
+			m.Set(tr.At(i), "v", float64(i/2))
+		}
+		x := tagged{v: float64(tr.Len() / 3), src: 1, idx: 0}
+		m.Set(from, "sel2.s", x)
+		var counts []int
+		count := func() { counts = append(counts, countBelow(m, tr, "v", 0, x, from, order.Float64)) }
+		count()
+		if nested {
+			m.Independent(count, func() { m.Independent(count, count) })
+			count()
+		}
+		met := m.Metrics()
+		peak, met.PeakMemory = met.PeakMemory, 0 // compared separately
+		out := fmt.Sprintf("%v %v touched=%d cong=%d/%d\n", counts, met, m.TouchedPEs(), m.MaxCongestion(), m.TotalLinkTraversals())
+		for row := origin.Row - 2; row < origin.Row+10; row++ {
+			for col := origin.Col - 2; col < origin.Col+11; col++ {
+				c := machine.Coord{Row: row, Col: col}
+				d, dist := m.Clock(c)
+				out += fmt.Sprintf("%v %d/%d %v|", c, d, dist, m.Registers(c))
+			}
+		}
+		return peak, out
+	}
+	for _, spec := range []string{"ideal", "mesh:5x3:2", "torus:4x4:3"} {
+		bk, err := machine.ParseBackend(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, tr := range tracks {
+			box := boundingRect(tr)
+			for _, from := range []machine.Coord{origin.Add(-1, 2), box.Origin, box.At(box.H-1, box.W-1)} {
+				for _, cong := range []bool{false, true} {
+					for _, nested := range []bool{false, true} {
+						for _, k := range []int{1, 4} {
+							wantPeak, want := run(bk, tr, from, cong, nested, false, k)
+							gotPeak, got := run(bk, tr, from, cong, nested, true, k)
+							if gotPeak > wantPeak || got != want {
+								t.Fatalf("%s track %d from %v cong=%v nested=%v shards=%d: counting form differs:\ncounting (peak %d): %.600s\nvalue    (peak %d): %.600s",
+									spec, ti, from, cong, nested, k, gotPeak, got, wantPeak, want)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

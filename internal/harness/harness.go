@@ -255,8 +255,9 @@ func WithBackend(b machine.Backend) Option {
 
 // WithBatchSends admits the counting-only fast path on leased machines
 // (machine.SetBatchSends): data-oblivious algorithms — the sorting
-// networks — charge their rounds on a counting kernel and keep payloads
-// host-side (see machine.CountingOnly). The path stays off on machines
+// networks, the scans and the selection's predecessor counts — charge
+// their messages on the counting kernel and keep payloads host-side (see
+// machine.CountingOnly). The path stays off on machines
 // that get a trace sink (WithSink, WithCriticalPathCheck) or a memory
 // limit, so traced runs keep full register traffic.
 func WithBatchSends() Option {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,43 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, want error", bad, b)
 		}
 	}
+}
+
+// FuzzParseBackend: no input panics ParseBackend; every accepted spec's
+// String form parses back to an equal backend; and every accepted fabric
+// holds at most maxFabricPEs physical PEs and passes the pane-span cap.
+// Seeded from TestParseBackend's good and bad specs.
+func FuzzParseBackend(f *testing.F) {
+	for _, s := range []string{"ideal", "", "  Ideal ", "mesh:16x16", "mesh:8x4", "torus:32x32:4", "MESH:16x16:2",
+		"mesh", "mesh:16", "mesh:0x4", "mesh:4x-1", "torus:axb", "ring:8x8", "mesh:16x16:0", "mesh:16x16:x", "mesh:99999x99999",
+		"mesh:3037000500x3037000500", "torus:3037000500x3037000500", "mesh:4x4:4611686018427387904",
+		"torus:4x4:4611686018427387904", "mesh:4x4:1073741824", "mesh:4x4:268435456", "torus:+4x4:1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		b, err := ParseBackend(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseBackend(b.String())
+		if err != nil || back != b {
+			t.Fatalf("ParseBackend(%q) = %+v, whose String %q parses to %+v (%v)", spec, b, b.String(), back, err)
+		}
+		if !b.Finite() {
+			return
+		}
+		// Multiply in 128 bits, so a wrapped product cannot pass.
+		within := func(a, b, limit int) bool {
+			hi, lo := bits.Mul64(uint64(a), uint64(b))
+			return a >= 1 && b >= 1 && hi == 0 && lo <= uint64(limit)
+		}
+		if !within(b.W, b.H, maxFabricPEs) {
+			t.Fatalf("ParseBackend(%q) accepted a %dx%d fabric, beyond %d physical PEs", spec, b.W, b.H, maxFabricPEs)
+		}
+		if !within(b.Block, max(b.W, b.H), fabric.MaxSpan) {
+			t.Fatalf("ParseBackend(%q) accepted block %d on a %dx%d fabric, beyond the pane span %d", spec, b.Block, b.W, b.H, fabric.MaxSpan)
+		}
+	})
 }
 
 // TestBackendOverflowRejected pins the two overflow regressions: adversarial

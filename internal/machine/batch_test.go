@@ -331,6 +331,12 @@ func TestRoundMisuse(t *testing.T) {
 	expectPanic("PE bound to two wires", func() {
 		m.BindWires([]Coord{{0, 0}, {0, 1}, {0, 0}})
 	})
+	w := m.BindWires([]Coord{{0, 0}, {0, 1}})
+	expectPanic("bind while the kernel is open", func() {
+		m.BindWires([]Coord{{1, 0}})
+	})
+	w.Close()
+	m.BindWires([]Coord{{1, 0}}).Close()
 }
 
 // TestSharedSinkUnderShardParallelism is the -race coverage the sharding PR

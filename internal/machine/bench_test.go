@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/zorder"
 )
 
 // BenchmarkMachineSendChain measures a long relay chain: one Get + one
@@ -111,6 +112,40 @@ func BenchmarkMachineWires(b *testing.B) {
 		for base := 0; base < len(cs); base += side {
 			for j := i % 2; j+1 < side; j += 2 {
 				w.Exchange(base+j, base+j+1)
+			}
+		}
+	}
+	b.StopTimer()
+	w.Close()
+}
+
+// BenchmarkMachineWiresSend measures the kernel's one-way send in the
+// layout of a scan's tree level: 2^16 wires on a 256x256 region in Z-order,
+// one op being one level of the 4-ary summation tree at height 1 (every
+// 2x2 block sends to its second cell, one of the four sends being free)
+// followed by the level at height 2 (four children roots to their
+// parent's root).
+func BenchmarkMachineWiresSend(b *testing.B) {
+	const side = 256
+	m := New()
+	m.SetBatchSends(true)
+	cs := make([]Coord, side*side)
+	for i := range cs {
+		row, col := zorder.Decode(uint64(i))
+		cs[i] = Coord{row, col}
+	}
+	w := m.BindWires(cs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for base := 0; base < len(cs); base += 4 {
+			for c := 0; c < 4; c++ {
+				w.Send(base+c, base+1)
+			}
+		}
+		for base := 0; base < len(cs); base += 16 {
+			for c := 0; c < 4; c++ {
+				w.Send(base+4*c+1, base+2)
 			}
 		}
 	}

@@ -43,9 +43,11 @@
 // charges each message as it is issued and delivers the round when its
 // callback returns, in issue order or, for large rounds on a sharded
 // machine, split by destination tile across shards (shard.go). Wires, the
-// sorting networks' counting kernel, is the one specialized path. The
-// geometry of finite fabrics (the fold and the link walk) lives in package
-// fabric, which the trace heatmap shares.
+// counting kernel of the sorting networks, the scans and the selection's
+// predecessor counts, is the one specialized path: it charges messages
+// whose pattern does not depend on the data and leaves their payloads to
+// the caller. The geometry of finite fabrics (the fold and the link walk)
+// lives in package fabric, which the trace heatmap shares.
 package machine
 
 import (
@@ -292,10 +294,13 @@ type Machine struct {
 	// round is Par's reusable buffer of charged, undelivered messages;
 	// parOpen is set while a Par callback runs. parSend is the bound issue
 	// method Par hands its callback, allocated once so Par stays
-	// allocation-free. wireStamp numbers BindWires calls (see pe.wireSeen).
+	// allocation-free. wires is the machine's one counting kernel, made at
+	// the first BindWires; wireStamp numbers BindWires calls (see
+	// pe.wireSeen).
 	round     []roundMsg
 	parOpen   bool
 	parSend   func(from, to Coord, dstReg Reg, v Value)
+	wires     *Wires
 	wireStamp uint64
 
 	// batchSends admits the counting-only fast path (see CountingOnly).
@@ -558,7 +563,8 @@ func (m *Machine) ResetClocks() {
 // congestion-tracking, shard-count, SetBatchSends and backend settings
 // survive (the phase annotation is cleared); congestion link loads and
 // physical-PE occupancy counts are cleared. Reset also closes a Par round
-// that a panic left open, so a recovered machine can be reused.
+// or a Wires kernel that a panic left open, so a recovered machine can be
+// reused.
 func (m *Machine) Reset() {
 	for _, t := range m.tiles {
 		if t.touched == 0 {
@@ -590,6 +596,9 @@ func (m *Machine) Reset() {
 	clear(m.round)
 	m.round = m.round[:0]
 	m.parOpen = false
+	if m.wires != nil {
+		m.wires.close()
+	}
 	if m.cong != nil {
 		m.cong.Reset()
 	}

@@ -6,35 +6,56 @@ import (
 	"repro/internal/fabric"
 )
 
-// Wires is a counting kernel bound to the wires of a sorting network: a
-// fixed list of distinct PEs exchanging counting-only messages level after
-// level. Their clocks are copied into one dense slice in wire order, so an
-// exchange reads two clocks that sit side by side for neighbouring wires
-// instead of chasing two PE structs scattered over tiles, and under a finite
-// backend each wire's physical home is folded once, not per message. Until
-// Close the copies and the kernel's counters are authoritative, so no other
-// machine operation may run in between. Exchanges emit no trace event and
-// deliver no register (see CountingOnly).
+// Wires is the machine's counting kernel: a fixed list of distinct PEs
+// (wires) exchanging counting-only messages whose pattern does not depend on
+// the data — the compare-exchange levels of the sorting networks and the
+// one-way tree levels of the scans, broadcasts and reduces. The wires'
+// clocks are copied into one dense slice in wire order, so a message reads
+// clocks that sit side by side for neighbouring wires instead of chasing PE
+// structs scattered over tiles, and under a finite backend each wire's
+// physical home is folded once, not per message. Until Close the copies and
+// the kernel's counters are authoritative, so no other machine operation may
+// run in between. Messages emit no trace event and deliver no register (see
+// CountingOnly).
+//
+// A machine owns one kernel, allocated at its first BindWires; later binds
+// reuse its buffers, so at most one kernel is open at a time and Reset
+// closes one that a panic left open.
 type Wires struct {
 	m     *Machine
 	bk    Backend
 	fab   fabric.Fabric
 	cong  *fabric.Links
+	cs    []Coord // the bound coordinates
 	pes   []*pe
 	clk   []clock
-	homes []Coord // physical homes; the bound coordinates themselves under Ideal
+	homes []Coord // physical homes; cs itself under Ideal
+	fold  []Coord // the reusable buffer homes uses under a finite backend
 	acc   chargeAccum
+	open  bool
 }
 
-// BindWires binds a counting kernel to the PEs at cs: wire i is cs[i]. Every
-// PE is resolved (and touched) and journaled in any active Independent
-// branch, exactly as a message endpoint would be. The wires must be distinct
-// PEs; a repeated coordinate is a caller bug and panics. Under Ideal the
-// kernel keeps cs as the wire homes, so cs must not change before Close.
+// BindWires binds the machine's counting kernel to the PEs at cs: wire i is
+// cs[i]. Every PE is resolved (and touched) and journaled in any active
+// Independent branch, exactly as a message endpoint would be. The wires must
+// be distinct PEs; a repeated coordinate is a caller bug and panics, and so
+// does binding while the kernel is open. The kernel keeps cs, so cs must
+// not change before Close.
 func (m *Machine) BindWires(cs []Coord) *Wires {
-	w := &Wires{m: m, bk: m.bk, fab: m.bk.fab(), cong: m.cong, pes: make([]*pe, len(cs)), clk: make([]clock, len(cs)), homes: cs}
+	w := m.wires
+	if w == nil {
+		w = &Wires{m: m}
+		m.wires = w
+	}
+	if w.open {
+		panic("machine: BindWires while a Wires kernel is open")
+	}
+	n := len(cs)
+	w.bk, w.fab, w.cong, w.acc = m.bk, m.bk.fab(), m.cong, chargeAccum{}
+	w.cs, w.pes, w.clk, w.homes = cs, resize(w.pes, n), resize(w.clk, n), cs
 	if m.bk.Finite() {
-		w.homes = make([]Coord, len(cs))
+		w.fold = resize(w.fold, n)
+		w.homes = w.fold
 	}
 	// A fresh stamp marks the PEs bound so far.
 	m.wireStamp++
@@ -51,7 +72,17 @@ func (m *Machine) BindWires(cs []Coord) *Wires {
 			w.homes[i] = m.bk.Fold(c)
 		}
 	}
+	w.open = true
 	return w
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Exchange charges one compare-exchange between wires i != j: the two
@@ -72,27 +103,79 @@ func (w *Wires) Exchange(i, j int) {
 	cj.merge(toJ.depth, toJ.dist)
 }
 
-// Close writes the wires' clocks back to their PEs and adds the exchanges'
-// costs to the machine. The kernel must not be used afterwards.
+// Send charges one counting-only message from wire i to wire j, extending
+// the sender's current chain and merging it into the receiver: the clock
+// semantics of SendValue without the register. A send from a wire to itself
+// is free local computation. Consecutive sends form one parallel round
+// exactly when no charged sender of the round is also one of its receivers,
+// which holds for every level of the tree collectives.
+func (w *Wires) Send(i, j int) {
+	if i == j {
+		return
+	}
+	a, b := w.homes[i], w.homes[j]
+	d := w.bk.homeDist(a, b)
+	if w.cong != nil {
+		w.cong.Walk(w.fab, fabric.Coord(a), fabric.Coord(b))
+	}
+	c := w.acc.add(w.clk[i], d)
+	w.clk[j].merge(c.depth, c.dist)
+}
+
+// Load reads register reg of every wire into vals, which must hold one
+// value per wire, as Get would: a wire without reg panics. The register
+// files are reached through the bound PEs, with no grid lookup.
+func (w *Wires) Load(reg Reg, vals []Value) {
+	id, ok := w.m.regIDLookup(reg)
+	for i, p := range w.pes {
+		v, found := p.lookup(id)
+		if !ok || !found {
+			panic(fmt.Sprintf("machine: read from empty register %q of %v", reg, w.cs[i]))
+		}
+		vals[i] = v
+	}
+}
+
+// Store writes vals[i] into register reg of wire i, as Set would.
+func (w *Wires) Store(reg Reg, vals []Value) {
+	id := w.m.regID(reg)
+	for i, p := range w.pes {
+		if p.set(id, vals[i]) {
+			w.m.physGrow(w.cs[i])
+		}
+		w.m.noteMem(w.cs[i], p)
+	}
+}
+
+// Close writes the wires' clocks back to their PEs, adds the kernel's costs
+// to the machine and closes the kernel; it must not be used until the next
+// BindWires.
 func (w *Wires) Close() {
 	for i, p := range w.pes {
 		p.clk = w.clk[i]
 	}
 	w.m.acc.merge(w.acc)
+	w.close()
+}
+
+// close releases the kernel without writing anything back.
+func (w *Wires) close() {
+	w.cs, w.homes = nil, nil
+	w.open = false
 }
 
 // SetBatchSends admits the counting-only fast path: with it on, algorithms
-// with data-oblivious communication (the sorting networks) may charge it
-// through a Wires kernel when no trace sink or memory limit is attached
-// (see CountingOnly). The flag changes no cost semantics by itself and
-// survives Reset.
+// with data-oblivious communication (the sorting networks, the scans and
+// the selection's predecessor counts) may charge it through the Wires
+// kernel when no trace sink or memory limit is attached (see CountingOnly).
+// The flag changes no cost semantics by itself and survives Reset.
 func (m *Machine) SetBatchSends(on bool) { m.batchSends = on }
 
 // BatchSends reports whether SetBatchSends admitted the counting-only path.
 func (m *Machine) BatchSends() bool { return m.batchSends }
 
 // CountingOnly reports whether algorithms may charge data-oblivious
-// communication through a counting kernel (Wires) that keeps payloads
+// communication through the counting kernel (Wires) and keep payloads
 // host-side: SetBatchSends admitted the path, no trace sink is attached
 // (counting-only messages carry no payload to trace), and no per-PE memory
 // limit is set (host-side payloads would hide register pressure from the

@@ -124,3 +124,25 @@ func TestRegionFor(t *testing.T) {
 		}
 	}
 }
+
+// FuzzMappingParse: no input panics Parse, and every accepted mapping's
+// String form parses back to an equal mapping. Seeded from the table tests.
+func FuzzMappingParse(f *testing.F) {
+	for _, s := range []string{"", "track=zorder,sort=merge", Default().String(), "sort=merge,arity=4",
+		" track=hilbert , tile=wide", "track=diagonal", "arity=3", "tile=round", "sort=bogo", "nonsense", "color=red", "arity=+4", "arity=99999999999999999999"} {
+		f.Add(s)
+	}
+	for _, m := range Space()[:8] {
+		f.Add(m.String())
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := Parse(s)
+		if err != nil {
+			return
+		}
+		back, err := Parse(m.String())
+		if err != nil || back != m {
+			t.Fatalf("Parse(%q) = %v, whose String %q parses to %v (%v)", s, m, m.String(), back, err)
+		}
+	})
+}

@@ -31,6 +31,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -81,7 +82,7 @@ type Engine struct {
 	start time.Time
 
 	mu      sync.Mutex
-	runners map[string]*harness.Runner // keyed by (seed, backend)
+	runners map[string]*runnerRef // keyed by (seed, backend)
 	regs    map[bool]*harness.Registry
 	claims  []bounds.Claim
 	jobs    map[string]*Job
@@ -89,6 +90,11 @@ type Engine struct {
 	flights map[string]*flight
 	nextID  int64
 	closed  bool
+
+	// evictedRows (under mu) counts the rows simulated by runners dropped
+	// when their last flight finished, so rows_simulated survives the
+	// eviction.
+	evictedRows int64
 
 	jobsWG sync.WaitGroup
 
@@ -114,7 +120,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		start:   time.Now(),
-		runners: make(map[string]*harness.Runner),
+		runners: make(map[string]*runnerRef),
 		regs:    make(map[bool]*harness.Registry),
 		jobs:    make(map[string]*Job),
 		flights: make(map[string]*flight),
@@ -141,13 +147,39 @@ func (e *Engine) resolveBackend(spec string) (machine.Backend, error) {
 	return machine.ParseBackend(spec)
 }
 
-func (e *Engine) runner(seed int64, bk machine.Backend) *harness.Runner {
+// runnerRef is a runner and the number of flights running on it.
+type runnerRef struct {
+	r       *harness.Runner
+	flights int
+}
+
+// acquireRunner returns the runner for (seed, backend), creating it if no
+// flight holds one, and a release function the flight calls when it
+// finishes. The last release drops the runner, so a daemon serving many
+// distinct seeds and backends holds runners only for the sweeps in flight.
+// Runners are cheap: the simulation machines live in the harness's
+// process-wide pool.
+func (e *Engine) acquireRunner(seed int64, bk machine.Backend) (*harness.Runner, func()) {
 	key := fmt.Sprintf("%d|%s", seed, bk)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r, ok := e.runners[key]; ok {
-		return r
+	ref, ok := e.runners[key]
+	if !ok {
+		ref = &runnerRef{r: e.newRunner(seed, bk)}
+		e.runners[key] = ref
 	}
+	ref.flights++
+	return ref.r, func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if ref.flights--; ref.flights == 0 {
+			delete(e.runners, key)
+			e.evictedRows += ref.r.RowsSimulated()
+		}
+	}
+}
+
+func (e *Engine) newRunner(seed int64, bk machine.Backend) *harness.Runner {
 	opts := []harness.Option{harness.WithLargestFirst(), harness.WithBackend(bk)}
 	if e.cfg.Workers > 0 {
 		opts = append(opts, harness.WithWorkers(e.cfg.Workers))
@@ -164,9 +196,7 @@ func (e *Engine) runner(seed int64, bk machine.Backend) *harness.Runner {
 			opts = append(opts, harness.WithCacheVersion(e.cfg.CacheVersion))
 		}
 	}
-	r := harness.New(seed, opts...)
-	e.runners[key] = r
-	return r
+	return harness.New(seed, opts...)
 }
 
 func (e *Engine) registry(quick bool) *harness.Registry {
@@ -459,7 +489,9 @@ func (e *Engine) lead(key string, p sweepParams, f *flight) {
 		close(f.done)
 	}()
 
-	s, err := e.registry(p.Quick).Go(e.runner(p.Seed, p.Backend), p.Name,
+	r, release := e.acquireRunner(p.Seed, p.Backend)
+	defer release()
+	s, err := e.registry(p.Quick).Go(r, p.Name,
 		harness.WithSweepProgress(f.broadcast), harness.WithMaxPoints(p.MaxPoints), harness.WithDeadline(p.Timeout))
 	if err != nil {
 		f.err = err
@@ -648,8 +680,9 @@ func (e *Engine) Snapshot() Metrics {
 	m.SweepsCoalesced = e.coalesced.Load()
 	m.RowsServed = e.served.Load()
 	e.mu.Lock()
-	for _, r := range e.runners {
-		m.RowsSimulated += r.RowsSimulated()
+	m.RowsSimulated = e.evictedRows
+	for _, ref := range e.runners {
+		m.RowsSimulated += ref.r.RowsSimulated()
 	}
 	e.mu.Unlock()
 	if e.cfg.Cache != nil {
@@ -733,6 +766,11 @@ func (e *Engine) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes caps a submission body. Requests are a few hundred
+// bytes; the cap keeps one client from making the daemon buffer an
+// arbitrarily large JSON document.
+const maxRequestBytes = 64 << 10
+
 // submit is the shared submission path: rate limit, decode, dispatch.
 func (e *Engine) submit(w http.ResponseWriter, r *http.Request, req any, start func() (*Job, error)) {
 	if e.limiter != nil && !e.limiter.allow() {
@@ -740,7 +778,12 @@ func (e *Engine) submit(w http.ResponseWriter, r *http.Request, req any, start f
 		httpError(w, http.StatusTooManyRequests, "rate limit exceeded")
 		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, err.Error())
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

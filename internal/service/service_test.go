@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -136,6 +137,56 @@ func TestSweepJobErrors(t *testing.T) {
 	}
 	if _, err := c.SubmitBoundcheck(BoundcheckRequest{Run: "zzz/"}); err == nil {
 		t.Error("empty claim filter accepted")
+	}
+}
+
+// TestOversizedBodyRejected: a submission body beyond maxRequestBytes gets a
+// 413 and creates no job; the daemon reads no further than the cap.
+func TestOversizedBodyRejected(t *testing.T) {
+	eng, c := testEngine(t, nil)
+	body := `{"name": "syn/quadratic", "quick": true, "backend": "` + strings.Repeat("x", 2*maxRequestBytes) + `"}`
+	for _, path := range []string{"/v1/jobs/sweep", "/v1/jobs/boundcheck"} {
+		resp, err := http.Post(c.url(path), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got HTTP %d, want %d", path, resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
+	}
+	if got := eng.Snapshot().Jobs.Submitted; got != 0 {
+		t.Errorf("oversized bodies created %d jobs", got)
+	}
+}
+
+// TestRunnersEvictedAfterFlights: a daemon serving many seeds holds a
+// runner only while a flight runs on it, and rows_simulated still counts
+// the rows of the runners it dropped.
+func TestRunnersEvictedAfterFlights(t *testing.T) {
+	eng, c := testEngine(t, nil)
+	const k = 5
+	for seed := int64(1); seed <= k; seed++ {
+		id, err := c.SubmitSweep(SweepRequest{Name: "syn/quadratic", Quick: true, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := waitDone(t, c, id); info.Status != StatusDone {
+			t.Fatalf("seed %d: job = %+v", seed, info)
+		}
+	}
+	eng.mu.Lock()
+	idle := len(eng.runners)
+	eng.mu.Unlock()
+	if idle != 0 {
+		t.Errorf("%d runners left after every flight finished, want 0", idle)
+	}
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RowsSimulated != 3*k {
+		t.Errorf("rows_simulated = %d, want %d (3 quick rows at each of %d seeds)", m.RowsSimulated, 3*k, k)
 	}
 }
 

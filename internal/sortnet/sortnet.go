@@ -278,15 +278,14 @@ func runManyCounting(m *machine.Machine, ls Levels, tracks []TrackRun, reg machi
 		total += tr.Track.Len()
 	}
 	cs := make([]machine.Coord, 0, total)
-	vals := make([]machine.Value, 0, total)
 	for _, tr := range tracks {
 		for i := 0; i < tr.Track.Len(); i++ {
-			c := tr.Track.At(i)
-			cs = append(cs, c)
-			vals = append(vals, m.Get(c, reg))
+			cs = append(cs, tr.Track.At(i))
 		}
 	}
 	w := m.BindWires(cs)
+	vals := make([]machine.Value, total)
+	w.Load(reg, vals)
 	var level []Comparator
 	for l := 0; l < ls.Count; l++ {
 		level = ls.At(l, level)
@@ -309,10 +308,8 @@ func runManyCounting(m *machine.Machine, ls Levels, tracks []TrackRun, reg machi
 			base += tr.Track.Len()
 		}
 	}
+	w.Store(reg, vals)
 	w.Close()
-	for i, c := range cs {
-		m.Set(c, reg, vals[i])
-	}
 }
 
 // Sort runs the full bitonic sorting network over the first n positions of

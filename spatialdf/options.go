@@ -116,8 +116,10 @@ func WithShards(k int) Option {
 }
 
 // WithBatchSends admits the machine's counting-only fast path: operations
-// whose communication is data-oblivious (SortBitonic, SortMesh) keep
-// payloads host-side and skip the register traffic. Energy, Depth, Distance and
+// whose communication is data-oblivious (SortBitonic, SortMesh, the scans
+// Scan, ScanWith, ScanTree and SegmentedScan, and the sorting networks,
+// scans and predecessor counts inside Sort, SortIndices, Select, Median
+// and SpMV) keep payloads host-side and skip the register traffic. Energy, Depth, Distance and
 // Messages are unchanged; PeakMemory reflects only the registers actually
 // materialized, and Metrics.CriticalPath is unavailable (the implicit
 // critical-path recorder is a trace sink, which the fast path forgoes).
