@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt contracts bench test bench-compare trace-smoke spatiald-smoke smoke conformance conformance-golden conformance-full experiments-refresh staticcheck
+.PHONY: check fmt contracts bench test bench-compare trace-smoke spatiald-smoke smoke conformance conformance-golden conformance-full experiments-refresh staticcheck perfbench-check loc
 
 # check is the full gate: build, formatting, vet, staticcheck, the
 # race-enabled test suite, the determinism contract suites the race build
 # skips, the trace-artifact smoke test, the spatiald daemon smoke test, the
-# tuner/graph/backend smokes, the quick conformance run and its
-# byte-for-byte verdict check.
+# tuner/graph/backend smokes, the benchmark module's vet and short tests,
+# the quick conformance run and its byte-for-byte verdict check.
 check:
 	$(GO) build ./...
 	$(MAKE) fmt
@@ -19,11 +19,27 @@ check:
 	$(MAKE) smoke SUITE=tune
 	$(MAKE) smoke SUITE=graph
 	$(MAKE) smoke SUITE=backend
+	$(MAKE) perfbench-check
 	$(MAKE) conformance QUICK=1
 	$(MAKE) conformance-golden
 
 test:
 	$(GO) test ./...
+
+# perfbench-check vets and short-tests the benchmark (perfbench/). It is
+# its own module, so the root `go build ./...` and `go test ./...` never
+# build it; this catches a change to an internal API it calls.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# loc prints the non-test Go lines of every package and their total, the
+# benchmark module (perfbench/) left out. A change's net lines per package
+# are the difference of two runs, one at each commit.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec dirname {} \; | sort -u | \
+	while read -r d; do \
+		printf '%7d %s\n' "$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$${d#./}"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 # fmt fails, listing the files, when any Go file in the tree is not
 # gofmt-formatted; `gofmt -w <file>` fixes one.

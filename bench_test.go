@@ -356,10 +356,7 @@ func BenchmarkSelectSorted(b *testing.B) {
 			half := n / 2
 			av := workload.Array(workload.Sorted, half, rng)
 			bv := workload.Array(workload.Sorted, half, rng)
-			side := 1
-			for side*side < half {
-				side *= 2
-			}
+			side := grid.Pow2Side(half)
 			m := machine.New()
 			for i := 0; i < b.N; i++ {
 				m.Reset()

@@ -12,10 +12,7 @@ import (
 // placeZOrder puts vals onto the Z-order track of a square region big
 // enough to hold them and returns the region.
 func placeZOrder(m *machine.Machine, vals []float64) grid.Rect {
-	side := 1
-	for side*side < len(vals) {
-		side *= 2
-	}
+	side := grid.Pow2Side(len(vals))
 	r := grid.Square(machine.Coord{}, side)
 	tr := grid.ZOrder(r)
 	for i, v := range vals {
@@ -205,10 +202,7 @@ func TestScanTrackMatchesPrefix(t *testing.T) {
 			vals[i] = rng.Float64()*4 - 2
 		}
 		m := machine.New()
-		side := 1
-		for side*side < n {
-			side *= 2
-		}
+		side := grid.Pow2Side(n)
 		r := grid.Square(machine.Coord{}, side)
 		tr := grid.Slice(grid.RowMajor(r), 0, n)
 		for i, v := range vals {

@@ -15,10 +15,7 @@ import (
 // machine, track, and a scratch region to the right.
 func apSetup(vals []float64) (*machine.Machine, grid.Track, grid.Rect) {
 	m := machine.New()
-	side := 1
-	for side*side < len(vals) {
-		side *= 2
-	}
+	side := grid.Pow2Side(len(vals))
 	r := grid.Square(machine.Coord{}, side)
 	t := grid.Slice(grid.RowMajor(r), 0, len(vals))
 	for i, v := range vals {

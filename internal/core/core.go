@@ -13,6 +13,12 @@
 //     the permutation lower bound (Lemma V.1 / Corollary V.2).
 //   - Select (Theorem VI.3): randomized rank selection with O(n) energy and
 //     O(log^2 n) depth with high probability.
+//
+// Keyed is the pipeline behind the paper's concurrent read and write
+// (Lemma VII.2) and its direct SpMV (Theorem VIII.2): sort records by key,
+// elect one leader per key, fetch and spread a value per segment, combine
+// each segment and deliver its total. The pram, spmv and graph packages
+// run on it.
 package core
 
 import (

@@ -164,7 +164,7 @@ func SelectScratchSide(n int) int {
 	need := max(AllPairsScratchSide(s), s)
 	if n <= 160 {
 		// selectSmall's compact bitonic square.
-		need = max(need, zorder.NextPow2(isqrt(max(n-1, 0))+1))
+		need = max(need, grid.Pow2Side(n))
 	}
 	// Recursive windows are smaller than n and reuse the same scratch, so
 	// the small-case requirement applies to every call.
@@ -178,8 +178,7 @@ func SelectScratchSide(n int) int {
 func selectSmall(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, ks []int, scratch grid.Rect, lt order.Less) []SplitCounts {
 	nA, nB := tA.Len(), tB.Len()
 	n := nA + nB
-	side := zorder.NextPow2(isqrt(max(n-1, 0)) + 1)
-	sq := grid.Square(scratch.Origin, side)
+	sq := grid.Square(scratch.Origin, grid.Pow2Side(n))
 	sTrack := grid.RowMajor(sq)
 	s2 := zorder.NextPow2(n)
 	plt := paddedLess(lt)

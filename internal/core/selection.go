@@ -63,36 +63,17 @@ func Select(m *machine.Machine, r grid.Rect, reg machine.Reg, k int, less order.
 
 		// Steps 1-2: sample active elements, index the sample with a scan
 		// and gather it into a square scratch subgrid.
-		for i := 0; i < n; i++ {
-			cnt := int64(0)
-			if isActive(m, t.At(i)) && rng.Float64() < p {
-				cnt = 1
-			}
-			m.Set(t.At(i), "sel.idx", cnt)
-		}
-		sizeV := collectives.Scan(m, r, "sel.idx", collectives.AddInt, int64(0))
-		sampleN := int(sizeV.(int64))
+		sampleN := markScan(m, r, t, func(i int) bool {
+			return isActive(m, t.At(i)) && rng.Float64() < p
+		})
 		if sampleN < 2 {
-			grid.Clear(m, t, "sel.idx", n)
+			grid.Clear(m, t, regIdx, n)
 			continue // degenerate sample; redraw
 		}
 		s2 := zorder.NextPow2(sampleN)
-		sside := zorder.NextPow2(isqrt(s2-1) + 1)
-		scratch := r.RightOf(sside, sside)
-		sTrack := grid.RowMajor(scratch)
-		m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-			for i := 0; i < n; i++ {
-				pos := m.Get(t.At(i), "sel.idx").(int64)
-				wasSampled := isActive(m, t.At(i)) && sampledHere(m, t, i)
-				if wasSampled {
-					send(t.At(i), sTrack.At(int(pos-1)), "sel.sq", padded{v: m.Get(t.At(i), reg)})
-				}
-			}
-		})
-		grid.Clear(m, t, "sel.idx", n)
-		for i := sampleN; i < s2; i++ {
-			m.Set(sTrack.At(i), "sel.sq", padded{inf: 1})
-		}
+		sside := grid.Pow2Side(s2)
+		sTrack := grid.RowMajor(r.RightOf(sside, sside))
+		compact(m, t, reg, sTrack, "sel.sq", sampleN, s2)
 
 		// Step 3: bitonic-sort the sample and choose the two pivots.
 		sortnet.Sort(m, sTrack, "sel.sq", s2, paddedLess(curLess))
@@ -147,36 +128,16 @@ func Select(m *machine.Machine, r grid.Rect, reg machine.Reg, k int, less order.
 
 	// Termination: gather the few remaining active elements, sort them
 	// with the bitonic network, and read off the rank-k element.
-	for i := 0; i < n; i++ {
-		cnt := int64(0)
-		if isActive(m, t.At(i)) {
-			cnt = 1
-		}
-		m.Set(t.At(i), "sel.idx", cnt)
-	}
-	totV := collectives.Scan(m, r, "sel.idx", collectives.AddInt, int64(0))
-	rem := int(totV.(int64))
+	rem := markScan(m, r, t, func(i int) bool { return isActive(m, t.At(i)) })
 	if rem == 0 || k > rem {
 		// Unreachable: the pivot validation in step 5 guarantees the
 		// target element stays active and 1 <= k <= rem.
 		panic(fmt.Sprintf("core: Select invariant violated: k=%d active=%d", k, rem))
 	}
 	s2 := zorder.NextPow2(rem)
-	sside := zorder.NextPow2(isqrt(s2-1) + 1)
-	scratch := r.RightOf(sside, sside)
-	sTrack := grid.RowMajor(scratch)
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < n; i++ {
-			if isActive(m, t.At(i)) {
-				pos := m.Get(t.At(i), "sel.idx").(int64)
-				send(t.At(i), sTrack.At(int(pos-1)), "sel.sq", padded{v: m.Get(t.At(i), reg)})
-			}
-		}
-	})
-	grid.Clear(m, t, "sel.idx", n)
-	for i := rem; i < s2; i++ {
-		m.Set(sTrack.At(i), "sel.sq", padded{inf: 1})
-	}
+	sside := grid.Pow2Side(s2)
+	sTrack := grid.RowMajor(r.RightOf(sside, sside))
+	compact(m, t, reg, sTrack, "sel.sq", rem, s2)
 	sortnet.Sort(m, sTrack, "sel.sq", s2, paddedLess(curLess))
 	out := m.Get(sTrack.At(k-1), "sel.sq").(padded).v
 	grid.Clear(m, sTrack, "sel.sq", s2)
@@ -188,14 +149,44 @@ func Median(m *machine.Machine, r grid.Rect, reg machine.Reg, less order.Less, r
 	return Select(m, r, reg, (r.Size()+1)/2, less, rng)
 }
 
-// sampledHere reports whether track position i was sampled this round: its
-// inclusive prefix count exceeds its predecessor's.
-func sampledHere(m *machine.Machine, t grid.Track, i int) bool {
-	cur := m.Get(t.At(i), "sel.idx").(int64)
-	if i == 0 {
-		return cur == 1
+// regIdx holds the marks, then their inclusive prefix counts, of a
+// compaction.
+const regIdx = "sel.idx"
+
+// markScan sets regIdx at every position of t to 1 where mark holds and 0
+// elsewhere, calling mark once per position in track order, and turns the
+// marks into inclusive prefix counts with the Z-order scan over r (t must
+// be r's Z-order track). It returns the number of marked positions.
+func markScan(m *machine.Machine, r grid.Rect, t grid.Track, mark func(i int) bool) int {
+	for i := 0; i < t.Len(); i++ {
+		cnt := int64(0)
+		if mark(i) {
+			cnt = 1
+		}
+		m.Set(t.At(i), regIdx, cnt)
 	}
-	return cur > m.Get(t.At(i-1), "sel.idx").(int64)
+	return int(collectives.Scan(m, r, regIdx, collectives.AddInt, int64(0)).(int64))
+}
+
+// compact sends the element in reg of every position markScan marked (its
+// prefix count exceeds its predecessor's) to the dst slot its prefix count
+// names, in one round, clears the prefix counts, and fills dst's slots
+// [marked, size) with +infinity pads.
+func compact(m *machine.Machine, t grid.Track, reg machine.Reg, dst grid.Track, dstReg machine.Reg, marked, size int) {
+	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
+		prev := int64(0)
+		for i := 0; i < t.Len(); i++ {
+			pos := m.Get(t.At(i), regIdx).(int64)
+			if pos > prev {
+				send(t.At(i), dst.At(int(pos-1)), dstReg, padded{v: m.Get(t.At(i), reg)})
+			}
+			prev = pos
+		}
+	})
+	grid.Clear(m, t, regIdx, t.Len())
+	for i := marked; i < size; i++ {
+		m.Set(dst.At(i), dstReg, padded{inf: 1})
+	}
 }
 
 // countActive counts active elements satisfying pred via a reduction.
@@ -224,31 +215,11 @@ func isActive(m *machine.Machine, c machine.Coord) bool {
 // comparator in effect ("sort the input using 2D Mergesort and return the
 // rank k element", Section VI step 5). k is a rank among active elements.
 func fallbackSort(m *machine.Machine, r grid.Rect, t grid.Track, reg machine.Reg, k int, less order.Less) machine.Value {
-	n := r.Size()
-	for i := 0; i < n; i++ {
-		cnt := int64(0)
-		if isActive(m, t.At(i)) {
-			cnt = 1
-		}
-		m.Set(t.At(i), "sel.idx", cnt)
-	}
-	totV := collectives.Scan(m, r, "sel.idx", collectives.AddInt, int64(0))
-	active := int(totV.(int64))
-	side := zorder.NextPow2(isqrt(max(active-1, 0)) + 1)
+	active := markScan(m, r, t, func(i int) bool { return isActive(m, t.At(i)) })
+	side := grid.Pow2Side(active)
 	scratch := r.Below(side, side)
 	sTrack := grid.RowMajor(scratch)
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < n; i++ {
-			if isActive(m, t.At(i)) {
-				pos := m.Get(t.At(i), "sel.idx").(int64)
-				send(t.At(i), sTrack.At(int(pos-1)), "sel.fb", padded{v: m.Get(t.At(i), reg)})
-			}
-		}
-	})
-	grid.Clear(m, t, "sel.idx", n)
-	for i := active; i < scratch.Size(); i++ {
-		m.Set(sTrack.At(i), "sel.fb", padded{inf: 1})
-	}
+	compact(m, t, reg, sTrack, "sel.fb", active, scratch.Size())
 	MergeSort(m, scratch, "sel.fb", paddedLess(less))
 	out := m.Get(sTrack.At(k-1), "sel.fb").(padded).v
 	grid.Clear(m, sTrack, "sel.fb", scratch.Size())

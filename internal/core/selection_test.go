@@ -11,10 +11,7 @@ import (
 )
 
 func selSetup(vals []float64) (*machine.Machine, grid.Rect) {
-	side := 1
-	for side*side < len(vals) {
-		side *= 2
-	}
+	side := grid.Pow2Side(len(vals))
 	if side*side != len(vals) {
 		panic("selSetup requires a square count")
 	}
@@ -223,5 +220,74 @@ func TestFallbackSortDirect(t *testing.T) {
 	got := fallbackSort(m, r, tr, "v", 1, order.Reverse(order.Float64)).(float64)
 	if got != activeVals[len(activeVals)-1] {
 		t.Errorf("fallbackSort reversed = %v, want %v", got, activeVals[len(activeVals)-1])
+	}
+}
+
+// scriptedSource is a rand.Source whose draws follow a script: each call
+// returns the next scripted value, and once the script runs out, rest's.
+// A draw of 0 makes rng.Float64() return 0 (sampled at any rate); a draw
+// of 1<<62 makes it return 0.5 (not sampled at rates below one half).
+type scriptedSource struct {
+	script []int64
+	rest   rand.Source
+}
+
+func (s *scriptedSource) Int63() int64 {
+	if len(s.script) == 0 {
+		return s.rest.Int63()
+	}
+	v := s.script[0]
+	s.script = s.script[1:]
+	return v
+}
+
+func (s *scriptedSource) Seed(seed int64) { s.rest.Seed(seed) }
+
+// constSource draws the same value forever.
+type constSource int64
+
+func (s constSource) Int63() int64 { return int64(s) }
+func (s constSource) Seed(int64)   {}
+
+// TestSelectRareRounds drives Select through the rounds random sampling
+// almost never takes, with scripted draws, and checks each answer against
+// a host sort of a shuffled 0..255: a first sample of no element (redrawn),
+// a sample of only the three smallest elements (its pivots cannot bracket
+// rank 100, so the round falls back to the 2-D Mergesort), and no sample in
+// any of the 48 rounds (the fallback that guarantees termination).
+func TestSelectRareRounds(t *testing.T) {
+	const n, k = 256, 100 // sample rate 4/sqrt(256) = 1/4; k needs no flip
+	vals := rand.New(rand.NewSource(21)).Perm(n)
+	fvals := make([]float64, n)
+	for i, v := range vals {
+		fvals[i] = float64(v)
+	}
+	zvals := make([]float64, n) // values in the order Select draws for them
+	{
+		m, r := selSetup(fvals)
+		for i, c := 0, grid.ZOrder(r); i < n; i++ {
+			zvals[i] = m.Get(c.At(i), "v").(float64)
+		}
+	}
+	none := make([]int64, n)
+	smallest := make([]int64, n)
+	for i := range none {
+		none[i] = 1 << 62
+		if smallest[i] = 1 << 62; zvals[i] < 3 {
+			smallest[i] = 0
+		}
+	}
+	for name, src := range map[string]rand.Source{
+		"empty first sample":  &scriptedSource{script: none, rest: rand.NewSource(5)},
+		"unbracketing pivots": &scriptedSource{script: smallest, rest: rand.NewSource(5)},
+		"no sample ever":      constSource(1 << 62),
+	} {
+		m, r := selSetup(fvals)
+		if got := Select(m, r, "v", k, order.Float64, rand.New(src)).(float64); got != k-1 {
+			t.Errorf("%s: Select(k=%d) = %v, want %v", name, k, got, k-1)
+		}
+		if s, ok := src.(*scriptedSource); ok && len(s.script) > 0 {
+			t.Errorf("%s: %d scripted draws left unused", name, len(s.script))
+		}
 	}
 }

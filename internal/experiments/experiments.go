@@ -168,15 +168,6 @@ func sizes(quick bool, full ...int) []int {
 	return full
 }
 
-// squareFor returns a power-of-two square region holding at least n cells.
-func squareFor(n int) grid.Rect {
-	side := 1
-	for side*side < n {
-		side *= 2
-	}
-	return grid.Square(machine.Coord{}, side)
-}
-
 // addRows copies sweep rows into the table in point order.
 func addRows(t *analysis.Table, rows []harness.Row) {
 	for _, r := range rows {

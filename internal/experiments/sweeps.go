@@ -350,7 +350,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 			a := workload.Array(workload.Sorted, half, env.Rng)
 			b := workload.Array(workload.Sorted, half, env.Rng)
 			mm := env.Measure(func(m *machine.Machine) {
-				ra := squareFor(half)
+				ra := grid.Square(machine.Coord{}, grid.Pow2Side(half))
 				rb := grid.Square(machine.Coord{Row: 0, Col: ra.W + 1}, ra.W)
 				tA := grid.Slice(grid.RowMajor(ra), 0, half)
 				tB := grid.Slice(grid.RowMajor(rb), 0, half)

@@ -182,10 +182,7 @@ func (md Model) Reference(g Graph, feats Features) ([][]float64, []int, error) {
 // energy-optimal 2-D mergesort and returns the order.
 func sortPoolOrder(m *machine.Machine, score []float64) []int {
 	n := len(score)
-	side := 1
-	for side*side < n {
-		side *= 2
-	}
+	side := grid.Pow2Side(n)
 	type kv struct {
 		s float64
 		v int

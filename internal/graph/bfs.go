@@ -8,8 +8,9 @@ import (
 	"repro/internal/machine"
 )
 
-// BFS register names. All graph registers are namespaced "graph." so the
-// algorithms can share a machine with the primitives they call.
+// BFS register names. The graph's own registers are namespaced "graph.",
+// and the keyed pipeline's (core.Keyed) "keyed.", so the algorithms can
+// share a machine with the primitives they call.
 const (
 	regMark  = "graph.mark"  // frontier marker delivered to a CSR segment head
 	regLvl   = "graph.lvl"   // per-edge-cell segmented-broadcast value
@@ -67,9 +68,9 @@ func BFS(m *machine.Machine, g *Graph, src int) ([]int, error) {
 	}
 
 	// Vertex square at the origin, edge square to its right.
-	vr := grid.Square(machine.Coord{}, pow2SideFor(g.N))
+	vr := grid.Square(machine.Coord{}, grid.Pow2Side(g.N))
 	vt := grid.RowMajor(vr)
-	eside := pow2SideFor(len(g.Adj))
+	eside := grid.Pow2Side(len(g.Adj))
 	er := vr.RightOf(eside, eside)
 	et := grid.ZOrder(er)
 	total := er.Size()

@@ -3,19 +3,15 @@ package graph
 import (
 	"math"
 
-	"repro/internal/collectives"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/tree"
 )
 
-// CC register names.
+// CC register names (the keyed pipeline's scratch registers are core's).
 const (
 	regEdge  = "graph.edge"  // directed-edge record on the edge grid
-	regPrev  = "graph.prev"  // predecessor key during leader election
-	regBV    = "graph.bv"    // scan value (fetched label / segment minimum)
-	regNext  = "graph.next"  // successor's head flag (end-of-segment detection)
 	regLab   = "graph.lab"   // current label, kept on each vertex cell
 	regCand  = "graph.cand"  // per-vertex hook candidate delivery
 	regPair  = "graph.pair"  // (label, candidate) pair on the vertex grid
@@ -92,14 +88,16 @@ func Components(m *machine.Machine, g *Graph) ([]int, int, error) {
 
 	// Vertex square at the origin, edge square to its right (same layout
 	// as BFS).
-	vr := grid.Square(machine.Coord{}, pow2SideFor(g.N))
+	vr := grid.Square(machine.Coord{}, grid.Pow2Side(g.N))
 	vt := grid.RowMajor(vr)
 	vtz := grid.ZOrder(vr)
 	vtotal := vr.Size()
-	eside := pow2SideFor(len(g.Adj))
+	eside := grid.Pow2Side(len(g.Adj))
 	er := vr.RightOf(eside, eside)
 	et := grid.ZOrder(er)
 	total := er.Size()
+	edges := core.NewKeyed(m, er, grid.TrackZOrder, regEdge)
+	pairs := core.NewKeyed(m, vr, grid.TrackZOrder, regPair)
 
 	// Initial labels are the identity — free placement.
 	lab := make([]int64, g.N)
@@ -129,55 +127,28 @@ func Components(m *machine.Machine, g *Graph) ([]int, int, error) {
 		// the spmv request/reply rounds (leaders announce themselves, the
 		// vertex cell answers with its label register).
 		m.Phase("graph/cc-gather")
-		core.SortToTrack(m, er, regEdge, et, regEdge, edgeBySrc)
-		electHeads(m, et, total, func(c machine.Coord) int64 {
-			return srcKey(m.Get(c, regEdge).(edgeRec))
-		})
-		m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-			for i := 0; i < total; i++ {
-				c := et.At(i)
-				e := m.Get(c, regEdge).(edgeRec)
-				if m.Get(c, regHead).(bool) && !e.pad {
-					send(c, vt.At(e.src), "graph.req", i)
-				}
-			}
-		})
-		m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-			for i := 0; i < total; i++ {
-				c := et.At(i)
-				e := m.Get(c, regEdge).(edgeRec)
-				if m.Get(c, regHead).(bool) && !e.pad {
-					cell := vt.At(e.src)
-					send(cell, c, regBV, m.Get(cell, regLab))
-					m.Del(cell, "graph.req")
-				}
-			}
-		})
-		for i := 0; i < total; i++ {
-			c := et.At(i)
-			if !m.Has(c, regBV) {
-				m.Set(c, regBV, infInt64)
-			}
-		}
-		collectives.SegmentedScan(m, er, regBV, regHead, collectives.First, infInt64)
+		edges.Sort(edgeBySrc)
+		edges.ElectHeads(srcKey)
+		edges.Fetch(func(v machine.Value) (machine.Coord, bool) {
+			e := v.(edgeRec)
+			return vt.At(e.src), !e.pad
+		}, regLab, infInt64)
 		for i := 0; i < total; i++ {
 			c := et.At(i)
 			e := m.Get(c, regEdge).(edgeRec)
 			if !e.pad {
-				e.lab = m.Get(c, regBV).(int64)
+				e.lab = m.Get(c, core.KeyedVal).(int64)
 				m.Set(c, regEdge, e)
 			}
-			m.Del(c, regBV)
-			m.Del(c, regHead)
+			m.Del(c, core.KeyedVal)
+			m.Del(c, core.KeyedHead)
 		}
 
 		// Step 2: sort by destination, segmented min over carried labels,
 		// deliver each destination's minimum neighboring label.
 		m.Phase("graph/cc-scatter")
-		core.SortToTrack(m, er, regEdge, et, regEdge, edgeByDst)
-		electHeads(m, et, total, func(c machine.Coord) int64 {
-			return dstKey(m.Get(c, regEdge).(edgeRec))
-		})
+		edges.Sort(edgeByDst)
+		edges.ElectHeads(dstKey)
 		for i := 0; i < total; i++ {
 			c := et.At(i)
 			e := m.Get(c, regEdge).(edgeRec)
@@ -185,21 +156,17 @@ func Components(m *machine.Machine, g *Graph) ([]int, int, error) {
 			if !e.pad {
 				v = e.lab
 			}
-			m.Set(c, regBV, v)
+			m.Set(c, core.KeyedVal, v)
 		}
-		collectives.SegmentedScan(m, er, regBV, regHead, minInt64, infInt64)
-		lastOfSegment(m, et, total, func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value), i int) {
-			c := et.At(i)
-			e := m.Get(c, regEdge).(edgeRec)
-			if !e.pad {
-				send(c, vt.At(e.dst), regCand, m.Get(c, regBV))
-			}
-		})
+		edges.Scan(minInt64, infInt64)
+		edges.DeliverLast(func(v machine.Value) (machine.Coord, bool) {
+			e := v.(edgeRec)
+			return vt.At(e.dst), !e.pad
+		}, regCand)
 		for i := 0; i < total; i++ {
 			c := et.At(i)
-			m.Del(c, regBV)
-			m.Del(c, regHead)
-			m.Del(c, regNext)
+			m.Del(c, core.KeyedVal)
+			m.Del(c, core.KeyedHead)
 		}
 
 		// Step 3: aggregate candidates per representative on the vertex
@@ -221,10 +188,8 @@ func Components(m *machine.Machine, g *Graph) ([]int, int, error) {
 			}
 			m.Set(c, regPair, vpair{lab: lab[v], cand: cand})
 		}
-		core.SortToTrack(m, vr, regPair, vtz, regPair, pairByLab)
-		electHeads(m, vtz, vtotal, func(c machine.Coord) int64 {
-			return labKey(m.Get(c, regPair).(vpair))
-		})
+		pairs.Sort(pairByLab)
+		pairs.ElectHeads(labKey)
 		for i := 0; i < vtotal; i++ {
 			c := vtz.At(i)
 			p := m.Get(c, regPair).(vpair)
@@ -232,21 +197,17 @@ func Components(m *machine.Machine, g *Graph) ([]int, int, error) {
 			if !p.pad {
 				v = p.cand
 			}
-			m.Set(c, regBV, v)
+			m.Set(c, core.KeyedVal, v)
 		}
-		collectives.SegmentedScan(m, vr, regBV, regHead, minInt64, infInt64)
-		lastOfSegment(m, vtz, vtotal, func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value), i int) {
-			c := vtz.At(i)
-			p := m.Get(c, regPair).(vpair)
-			if !p.pad {
-				send(c, vt.At(int(p.lab)), regRCand, m.Get(c, regBV))
-			}
-		})
+		pairs.Scan(minInt64, infInt64)
+		pairs.DeliverLast(func(v machine.Value) (machine.Coord, bool) {
+			p := v.(vpair)
+			return vt.At(int(p.lab)), !p.pad
+		}, regRCand)
 		for i := 0; i < vtotal; i++ {
 			c := vtz.At(i)
-			m.Del(c, regBV)
-			m.Del(c, regHead)
-			m.Del(c, regNext)
+			m.Del(c, core.KeyedVal)
+			m.Del(c, core.KeyedHead)
 			m.Del(c, regPair)
 		}
 
@@ -306,70 +267,30 @@ func Components(m *machine.Machine, g *Graph) ([]int, int, error) {
 }
 
 // srcKey/dstKey/labKey order real records before pads.
-func srcKey(e edgeRec) int64 {
+func srcKey(v machine.Value) int64 {
+	e := v.(edgeRec)
 	if e.pad {
 		return infInt64
 	}
 	return int64(e.src)
 }
 
-func dstKey(e edgeRec) int64 {
+func dstKey(v machine.Value) int64 {
+	e := v.(edgeRec)
 	if e.pad {
 		return infInt64
 	}
 	return int64(e.dst)
 }
 
-func labKey(p vpair) int64 {
+func labKey(v machine.Value) int64 {
+	p := v.(vpair)
 	if p.pad {
 		return infInt64
 	}
 	return p.lab
 }
 
-func edgeBySrc(a, b machine.Value) bool { return srcKey(a.(edgeRec)) < srcKey(b.(edgeRec)) }
-func edgeByDst(a, b machine.Value) bool { return dstKey(a.(edgeRec)) < dstKey(b.(edgeRec)) }
-func pairByLab(a, b machine.Value) bool { return labKey(a.(vpair)) < labKey(b.(vpair)) }
-
-// electHeads sets regHead on every track position whose key differs from
-// its predecessor's — the spmv leader election, generalized to any keyed
-// record.
-func electHeads(m *machine.Machine, t grid.Track, total int, key func(machine.Coord) int64) {
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i+1 < total; i++ {
-			send(t.At(i), t.At(i+1), regPrev, key(t.At(i)))
-		}
-	})
-	for i := 0; i < total; i++ {
-		c := t.At(i)
-		head := true
-		if i > 0 {
-			head = m.Get(c, regPrev).(int64) != key(c)
-			m.Del(c, regPrev)
-		}
-		m.Set(c, regHead, head)
-	}
-}
-
-// lastOfSegment learns each position's successor head flag in one round,
-// then runs emit for every position that ends a segment (its successor is
-// a head, or it is the final position). emit receives the round's send
-// function and the position index.
-func lastOfSegment(m *machine.Machine, t grid.Track, total int, emit func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value), i int)) {
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 1; i < total; i++ {
-			send(t.At(i), t.At(i-1), regNext, m.Get(t.At(i), regHead))
-		}
-	})
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < total; i++ {
-			last := i == total-1
-			if !last {
-				last = m.Get(t.At(i), regNext).(bool)
-			}
-			if last {
-				emit(send, i)
-			}
-		}
-	})
-}
+func edgeBySrc(a, b machine.Value) bool { return srcKey(a) < srcKey(b) }
+func edgeByDst(a, b machine.Value) bool { return dstKey(a) < dstKey(b) }
+func pairByLab(a, b machine.Value) bool { return labKey(a) < labKey(b) }

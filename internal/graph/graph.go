@@ -151,16 +151,6 @@ func PowerLaw(n int, rng *rand.Rand) *Graph {
 
 // --- shared helpers for the on-grid layouts -------------------------------
 
-// pow2SideFor returns the smallest power-of-two side whose square holds at
-// least n cells (n = 0 maps to side 1).
-func pow2SideFor(n int) int {
-	side := 1
-	for side*side < n {
-		side *= 2
-	}
-	return side
-}
-
 // minInt64 is the collectives.Op for int64 minima.
 func minInt64(a, b machine.Value) machine.Value {
 	if a.(int64) < b.(int64) {

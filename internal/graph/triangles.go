@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/collectives"
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/order"
@@ -82,7 +83,7 @@ func Triangles(m *machine.Machine, g *Graph) (int64, error) {
 	}
 
 	// One record per PE on a power-of-two square, pads at +Inf.
-	ur := grid.Square(machine.Coord{}, pow2SideFor(len(keys)))
+	ur := grid.Square(machine.Coord{}, grid.Pow2Side(len(keys)))
 	ut := grid.ZOrder(ur)
 	total := ur.Size()
 	for i := 0; i < total; i++ {
@@ -100,8 +101,9 @@ func Triangles(m *machine.Machine, g *Graph) (int64, error) {
 
 	// Group by pair and broadcast each group's first key.
 	m.Phase("graph/tri-match")
-	electHeads(m, ut, total, func(c machine.Coord) int64 {
-		k := m.Get(c, regKey).(float64)
+	recs := core.NewKeyed(m, ur, grid.TrackZOrder, regKey)
+	recs.ElectHeads(func(v machine.Value) int64 {
+		k := v.(float64)
 		if math.IsInf(k, 1) {
 			return infInt64
 		}
@@ -109,22 +111,22 @@ func Triangles(m *machine.Machine, g *Graph) (int64, error) {
 	})
 	for i := 0; i < total; i++ {
 		c := ut.At(i)
-		m.Set(c, regBV, m.Get(c, regKey))
+		m.Set(c, core.KeyedVal, m.Get(c, regKey))
 	}
-	collectives.SegmentedScan(m, ur, regBV, regHead, collectives.First, math.Inf(1))
+	recs.Scan(collectives.First, math.Inf(1))
 
 	// A wedge whose group starts with an edge record closes a triangle.
 	for i := 0; i < total; i++ {
 		c := ut.At(i)
 		k := m.Get(c, regKey).(float64)
-		first := m.Get(c, regBV).(float64)
+		first := m.Get(c, core.KeyedVal).(float64)
 		cnt := 0.0
 		if !math.IsInf(k, 1) && int64(k)%2 == 1 && int64(first)%2 == 0 {
 			cnt = 1.0
 		}
 		m.Set(c, regCnt, cnt)
-		m.Del(c, regBV)
-		m.Del(c, regHead)
+		m.Del(c, core.KeyedVal)
+		m.Del(c, core.KeyedHead)
 		m.Del(c, regKey)
 	}
 	m.Phase("graph/tri-count")

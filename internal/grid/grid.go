@@ -36,6 +36,17 @@ func SquareFor(origin machine.Coord, n int) Rect {
 	return Square(origin, zorder.Sqrt(n))
 }
 
+// Pow2Side returns the smallest power-of-two side whose square holds at
+// least n cells: the side of the padded square region every algorithm
+// lays n elements out on (1 for n <= 1).
+func Pow2Side(n int) int {
+	side := 1
+	for side*side < n {
+		side *= 2
+	}
+	return side
+}
+
 // Size returns the number of PEs in the region.
 func (r Rect) Size() int { return r.H * r.W }
 

@@ -1,10 +1,12 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/zorder"
 )
 
 func TestRectBasics(t *testing.T) {
@@ -323,4 +325,57 @@ func TestHilbertRejectsNonSquare(t *testing.T) {
 		}
 	}()
 	Hilbert(Rect{H: 2, W: 4})
+}
+
+// TestPow2Side pins Pow2Side to each form the padded square side was once
+// computed in: a doubling loop, the power of two above a float ceiling
+// square root, above an integer ceiling square root, and above one more
+// than the floor square root of n-1.
+func TestPow2Side(t *testing.T) {
+	floorSqrt := func(n int) int {
+		r := int(math.Sqrt(float64(n)))
+		for r*r > n {
+			r--
+		}
+		for (r+1)*(r+1) <= n {
+			r++
+		}
+		return r
+	}
+	ceilSqrt := func(n int) int {
+		r := floorSqrt(n)
+		if r*r < n {
+			r++
+		}
+		return r
+	}
+	forms := map[string]func(n int) int{
+		"doubling": func(n int) int {
+			side := 1
+			for side*side < n {
+				side *= 2
+			}
+			return side
+		},
+		"float-ceil-sqrt": func(n int) int { return zorder.NextPow2(int(math.Ceil(math.Sqrt(float64(n))))) },
+		"int-ceil-sqrt":   func(n int) int { return zorder.NextPow2(ceilSqrt(n)) },
+		"floor-sqrt-n-1":  func(n int) int { return zorder.NextPow2(floorSqrt(max(n-1, 0)) + 1) },
+	}
+	ns := []int{1 << 30, 1<<30 + 1, 1<<40 - 1, 1 << 40, 1<<40 + 1, 3 << 41, 1<<50 + 12345}
+	for n := 0; n <= 1<<16; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		got := Pow2Side(n)
+		for name, form := range forms {
+			if want := form(n); got != want {
+				t.Fatalf("Pow2Side(%d) = %d, %s form gives %d", n, got, name, want)
+			}
+		}
+	}
+	for n, want := range map[int]int{0: 1, 1: 1, 2: 2, 4: 2, 5: 4, 16: 4, 17: 8, 1 << 40: 1 << 20} {
+		if got := Pow2Side(n); got != want {
+			t.Errorf("Pow2Side(%d) = %d, want %d", n, got, want)
+		}
+	}
 }

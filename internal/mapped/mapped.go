@@ -35,7 +35,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/order"
 	"repro/internal/sortnet"
-	"repro/internal/zorder"
 )
 
 // ScanTrack returns the track scan order follows under mp: the caller
@@ -55,11 +54,11 @@ func Scan(m *machine.Machine, r grid.Rect, reg machine.Reg, op collectives.Op, i
 }
 
 // ReduceRegion returns the processor region holding n elements under
-// mp's tile shape. n must be a square power-of-four count (the facade's
-// padded sizes). The tile applies only to the row-major track: the
-// curve tracks, and odd or unit sides, fall back to the square.
+// mp's tile shape: the padded square of side grid.Pow2Side(n), reshaped
+// to the tile. The tile applies only to the row-major track: the curve
+// tracks, and odd or unit sides, fall back to the square.
 func ReduceRegion(n int, mp mapping.Mapping) grid.Rect {
-	side := zorder.NextPow2(intSqrtCeil(n))
+	side := grid.Pow2Side(n)
 	if mp.Track == grid.TrackRowMajor && mp.Tile != mapping.TileSquare && side%2 == 0 {
 		if r, ok := mapping.RegionFor(side*side, mp.Tile); ok {
 			return r
@@ -105,12 +104,4 @@ func Sort(m *machine.Machine, r grid.Rect, reg machine.Reg, less order.Less, mp 
 	default: // mapping.SortBitonic
 		sortnet.Sort(m, SortTrack(mp, r), reg, r.Size(), less)
 	}
-}
-
-func intSqrtCeil(n int) int {
-	side := 1
-	for side*side < n {
-		side++
-	}
-	return side
 }

@@ -10,11 +10,13 @@
 //   - The EREW simulation (Lemma VII.1) services each access with a direct
 //     request/response message pair: O(p(sqrt p + sqrt m)) energy and O(1)
 //     depth per step. It rejects concurrent accesses to a cell.
-//   - The CRCW simulation (Lemma VII.2) resolves concurrency by sorting
-//     access tuples with the energy-optimal 2-D mergesort, electing one
-//     leader per cell, broadcasting read values with a segmented scan, and
-//     sorting the results back to the requesting processors: same energy,
-//     O(log^3 p) depth per step.
+//   - The CRCW simulation (Lemma VII.2) resolves concurrency with core's
+//     keyed pipeline: it sorts access tuples with the energy-optimal 2-D
+//     mergesort and elects one leader per cell. A read's leader fetches
+//     the cell, a segmented scan broadcasts the value over the leader's
+//     segment, and the results sort back to the requesting processors; a
+//     write's leader, the lowest processor of its cell, stores its own
+//     value. Same energy, O(log^3 p) depth per step.
 package pram
 
 import (
@@ -22,12 +24,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/collectives"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/order"
-	"repro/internal/zorder"
 )
 
 // Write is a memory write issued by a processor: store Val into cell Addr.
@@ -109,7 +109,7 @@ func New(m *machine.Machine, prog Program, mode Mode, memInit []machine.Value) *
 	}
 	memSide := int(math.Ceil(math.Sqrt(float64(max(cells, 1)))))
 	mem := grid.Square(machine.Coord{}, memSide)
-	procSide := zorder.NextPow2(int(math.Ceil(math.Sqrt(float64(max(prog.Procs(), 1))))))
+	procSide := grid.Pow2Side(prog.Procs())
 	procs := mem.RightOf(procSide, procSide)
 
 	s := &Sim{
@@ -288,50 +288,22 @@ const dummyKey = int64(1) << 60
 func (s *Sim) readCRCW(reads []int) ([]machine.Value, error) {
 	// Every processor (including padded grid slots) contributes a tuple
 	// (key=addr, seq=proc) so the sorted layout covers the whole subgrid.
-	for i := 0; i < s.procN; i++ {
+	k := s.elect(func(i int) order.KV {
 		key := dummyKey
 		if i < len(reads) && reads[i] >= 0 {
 			key = int64(reads[i])
 		}
-		s.M.Set(s.procTrack.At(i), "pram.t", order.KV{Key: key, Seq: int64(i)})
-	}
-	// Sort tuples by address onto the Z-order curve of the subgrid.
-	core.SortToTrack(s.M, s.procs, "pram.t", s.procTrack, "pram.t", order.KVLess)
-
-	// Leader election: each position learns its predecessor's key.
-	s.electLeaders("pram.t")
-
-	// Leaders fetch their cell's value: request round + reply round.
-	s.M.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < s.procN; i++ {
-			c := s.procTrack.At(i)
-			kv := s.M.Get(c, "pram.t").(order.KV)
-			if s.M.Get(c, "pram.head").(bool) && kv.Key != dummyKey {
-				send(c, s.memTrack.At(int(kv.Key)), "pram.req", i)
-			}
-		}
+		return order.KV{Key: key, Seq: int64(i)}
 	})
-	s.M.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < s.procN; i++ {
-			c := s.procTrack.At(i)
-			kv := s.M.Get(c, "pram.t").(order.KV)
-			if s.M.Get(c, "pram.head").(bool) && kv.Key != dummyKey {
-				cell := s.memTrack.At(int(kv.Key))
-				send(cell, c, "pram.bv", s.M.Get(cell, memReg))
-				s.M.Del(cell, "pram.req")
-			}
+	// Leaders fetch their cell's value and a segmented broadcast hands it
+	// to every reader of the cell.
+	k.Fetch(func(v machine.Value) (machine.Coord, bool) {
+		kv := v.(order.KV)
+		if kv.Key == dummyKey {
+			return machine.Coord{}, false
 		}
-	})
-	// Non-leaders hold a placeholder; the segmented broadcast (a
-	// segmented scan with the First operator) fills in the leader's value.
-	for i := 0; i < s.procN; i++ {
-		c := s.procTrack.At(i)
-		if !s.M.Has(c, "pram.bv") {
-			m := machine.Value(nil)
-			s.M.Set(c, "pram.bv", m)
-		}
-	}
-	collectives.SegmentedScan(s.M, s.procs, "pram.bv", "pram.head", collectives.First, nil)
+		return s.memTrack.At(int(kv.Key)), true
+	}, memReg, nil)
 
 	// Route results back: tuples (key=orig processor, val=read value)
 	// sorted by key land exactly on their processor (processors are
@@ -339,11 +311,11 @@ func (s *Sim) readCRCW(reads []int) ([]machine.Value, error) {
 	for i := 0; i < s.procN; i++ {
 		c := s.procTrack.At(i)
 		kv := s.M.Get(c, "pram.t").(order.KV)
-		s.M.Set(c, "pram.t", order.KV{Key: kv.Seq, Val: s.M.Get(c, "pram.bv")})
-		s.M.Del(c, "pram.bv")
-		s.M.Del(c, "pram.head")
+		s.M.Set(c, "pram.t", order.KV{Key: kv.Seq, Val: s.M.Get(c, core.KeyedVal)})
+		s.M.Del(c, core.KeyedVal)
+		s.M.Del(c, core.KeyedHead)
 	}
-	core.SortToTrack(s.M, s.procs, "pram.t", s.procTrack, "pram.t", order.KVLess)
+	k.Sort(order.KVLess)
 
 	got := make([]machine.Value, len(reads))
 	for i := range reads {
@@ -360,50 +332,37 @@ func (s *Sim) readCRCW(reads []int) ([]machine.Value, error) {
 }
 
 // writeCRCW implements the sorting-based concurrent write: tuples sorted by
-// (address, processor), the first processor of each address group wins.
+// (address, processor), the first processor of each address group wins and
+// delivers its value itself (no scan).
 func (s *Sim) writeCRCW(writes []*Write) {
-	for i := 0; i < s.procN; i++ {
-		key := dummyKey
-		var val machine.Value
+	s.elect(func(i int) order.KV {
 		if i < len(writes) && writes[i] != nil {
-			key = int64(writes[i].Addr)
-			val = writes[i].Val
+			return order.KV{Key: int64(writes[i].Addr), Seq: int64(i), Val: writes[i].Val}
 		}
-		s.M.Set(s.procTrack.At(i), "pram.t", order.KV{Key: key, Seq: int64(i), Val: val})
-	}
-	core.SortToTrack(s.M, s.procs, "pram.t", s.procTrack, "pram.t", order.KVLess)
-	s.electLeaders("pram.t")
+		return order.KV{Key: dummyKey, Seq: int64(i)}
+	})
 	s.M.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
 		for i := 0; i < s.procN; i++ {
 			c := s.procTrack.At(i)
 			kv := s.M.Get(c, "pram.t").(order.KV)
-			if s.M.Get(c, "pram.head").(bool) && kv.Key != dummyKey {
+			if s.M.Get(c, core.KeyedHead).(bool) && kv.Key != dummyKey {
 				send(c, s.memTrack.At(int(kv.Key)), memReg, kv.Val)
 			}
 		}
 	})
 	grid.Clear(s.M, s.procTrack, "pram.t", s.procN)
-	grid.Clear(s.M, s.procTrack, "pram.head", s.procN)
+	grid.Clear(s.M, s.procTrack, core.KeyedHead, s.procN)
 }
 
-// electLeaders marks, in register "pram.head", every Z-order position whose
-// key differs from its predecessor's ("each processor sends its index to
-// the next processor in the sequence; if the received index differs from
-// its own or no message is received, it becomes a leader").
-func (s *Sim) electLeaders(reg machine.Reg) {
-	s.M.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i+1 < s.procN; i++ {
-			kv := s.M.Get(s.procTrack.At(i), reg).(order.KV)
-			send(s.procTrack.At(i), s.procTrack.At(i+1), "pram.prev", kv.Key)
-		}
-	})
+// elect places tuple(i) on every processor slot i, sorts the tuples by
+// (address, processor) onto the Z-order track and marks one leader per
+// address.
+func (s *Sim) elect(tuple func(i int) order.KV) *core.Keyed {
 	for i := 0; i < s.procN; i++ {
-		c := s.procTrack.At(i)
-		head := true
-		if i > 0 {
-			head = s.M.Get(c, "pram.prev").(int64) != s.M.Get(c, reg).(order.KV).Key
-			s.M.Del(c, "pram.prev")
-		}
-		s.M.Set(c, "pram.head", head)
+		s.M.Set(s.procTrack.At(i), "pram.t", tuple(i))
 	}
+	k := core.NewKeyed(s.M, s.procs, grid.TrackZOrder, "pram.t")
+	k.Sort(order.KVLess)
+	k.ElectHeads(func(v machine.Value) int64 { return v.(order.KV).Key })
+	return k
 }

@@ -13,10 +13,7 @@ import (
 
 func runOnTrack(t *testing.T, nw Network, vals []float64) []float64 {
 	t.Helper()
-	side := 1
-	for side*side < len(vals) {
-		side *= 2
-	}
+	side := grid.Pow2Side(len(vals))
 	m := machine.New()
 	tr := grid.Slice(grid.RowMajor(grid.Square(machine.Coord{}, side)), 0, len(vals))
 	for i, v := range vals {

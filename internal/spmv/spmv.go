@@ -6,11 +6,13 @@
 // subgrid in arbitrary order; the dense vector x occupies a sqrt(n) x
 // sqrt(n) subgrid next to it.
 //
-// Multiply is the paper's direct algorithm (Theorem VIII.2): sort by
-// column, elect column leaders, fetch and segmented-broadcast the vector
-// entries, multiply locally, sort by row, and segmented-scan the partial
-// products — O(m^{3/2}) energy, O(log^3 n) depth, O(sqrt m) distance,
-// matching the lower bound of Lemma VIII.1 for m = O(n).
+// Multiply is the paper's direct algorithm (Theorem VIII.2), run on
+// core's keyed pipeline: sort by column, elect column leaders, fetch and
+// segmented-broadcast the vector entries, multiply locally, sort by row,
+// elect row leaders, segmented-scan the partial products and deliver each
+// row's total from the last position of its segment — O(m^{3/2}) energy,
+// O(log^3 n) depth, O(sqrt m) distance, matching the lower bound of Lemma
+// VIII.1 for m = O(n).
 //
 // MultiplyPRAM is the PRAM-simulation upper bound from the same section: a
 // CRCW program computing the products and summing them with a doubling
@@ -27,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
-	"repro/internal/zorder"
 )
 
 // Entry is one non-zero matrix element A[Row][Col] = Val.
@@ -74,11 +75,8 @@ type triple struct {
 	pad      bool
 }
 
-const (
-	regT    = "spmv.t"    // triple / partial product tuple
-	regHead = "spmv.head" // segment head flag
-	regBV   = "spmv.bv"   // segmented-broadcast value
-)
+// regT holds each matrix-subgrid PE's triple / partial product tuple.
+const regT = "spmv.t"
 
 // Multiply computes y = A*x with the direct sort+scan algorithm on machine
 // m. It lays out the matrix subgrid at the origin and the vector subgrid to
@@ -109,8 +107,7 @@ func MultiplyMapped(m *machine.Machine, a Matrix, x []float64, kind grid.TrackKi
 
 	// Layout: matrix triples on a square power-of-two subgrid (padded),
 	// x on a ceil(sqrt n) square to the right, y below x.
-	side := zorder.NextPow2(int(math.Ceil(math.Sqrt(float64(a.NNZ())))))
-	mat := grid.Square(machine.Coord{}, side)
+	mat := grid.Square(machine.Coord{}, grid.Pow2Side(a.NNZ()))
 	mt := grid.TrackFor(kind, mat)
 	total := mat.Size()
 
@@ -134,76 +131,46 @@ func MultiplyMapped(m *machine.Machine, a Matrix, x []float64, kind grid.TrackKi
 
 	// Step 1: sort the triples by column index (padding last).
 	m.Phase("spmv/sort-cols")
-	core.SortToTrack(m, mat, regT, mt, regT, tripleByCol)
+	k := core.NewKeyed(m, mat, kind, regT)
+	k.Sort(tripleByCol)
 
-	// Step 2: column leaders — each PE learns its Z-order predecessor's
+	// Step 2: column leaders — each PE learns its track predecessor's
 	// column index.
 	m.Phase("spmv/col-leaders")
-	electLeaders(m, mt, total, func(t triple) int64 { return colKey(t) })
+	k.ElectHeads(colKey)
 
 	// Step 3: column leaders fetch x_j and a segmented broadcast (a
 	// segmented scan with the First operator) distributes it.
 	m.Phase("spmv/broadcast-x")
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < total; i++ {
-			c := mt.At(i)
-			t := m.Get(c, regT).(triple)
-			if m.Get(c, regHead).(bool) && !t.pad {
-				send(c, vt.At(t.col), "spmv.req", i)
-			}
-		}
-	})
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < total; i++ {
-			c := mt.At(i)
-			t := m.Get(c, regT).(triple)
-			if m.Get(c, regHead).(bool) && !t.pad {
-				cell := vt.At(t.col)
-				send(cell, c, regBV, m.Get(cell, "spmv.x"))
-				m.Del(cell, "spmv.req")
-			}
-		}
-	})
-	for i := 0; i < total; i++ {
-		c := mt.At(i)
-		if !m.Has(c, regBV) {
-			m.Set(c, regBV, 0.0)
-		}
-	}
-	// Segmented scans must follow the order the triples were sorted in:
-	// the paper's Z-order track uses the energy-optimal quadtree scan,
-	// other tracks the tree scan along the curve.
-	segScan := func(op collectives.Op) {
-		if kind == grid.TrackZOrder {
-			collectives.SegmentedScan(m, mat, regBV, regHead, op, 0.0)
-		} else {
-			collectives.SegmentedScanTrack(m, mt, regBV, regHead, op, 0.0)
-		}
-	}
-	segScan(collectives.First)
+	k.Fetch(func(v machine.Value) (machine.Coord, bool) {
+		t := v.(triple)
+		return vt.At(t.col), !t.pad
+	}, "spmv.x", 0.0)
 
 	// Step 4: local partial products.
 	for i := 0; i < total; i++ {
 		c := mt.At(i)
 		t := m.Get(c, regT).(triple)
 		if !t.pad {
-			t.x = m.Get(c, regBV).(float64)
+			t.x = m.Get(c, core.KeyedVal).(float64)
 		}
 		m.Set(c, regT, t)
-		m.Del(c, regBV)
-		m.Del(c, regHead)
+		m.Del(c, core.KeyedVal)
+		m.Del(c, core.KeyedHead)
 	}
 
 	// Step 5: sort the products by row index.
 	m.Phase("spmv/sort-rows")
-	core.SortToTrack(m, mat, regT, mt, regT, tripleByRow)
+	k.Sort(tripleByRow)
 
 	// Step 6: row leaders.
 	m.Phase("spmv/row-leaders")
-	electLeaders(m, mt, total, func(t triple) int64 { return rowKey(t) })
+	k.ElectHeads(rowKey)
 
 	// Step 7: segmented scan sums each row's products; the last PE of a
-	// segment holds the row total and routes it to the output subgrid.
+	// segment holds the row total and routes it to the output subgrid
+	// (pads sort last and form their own segment, so the last real
+	// segment ends before them).
 	m.Phase("spmv/row-sums")
 	for i := 0; i < total; i++ {
 		c := mt.At(i)
@@ -212,41 +179,18 @@ func MultiplyMapped(m *machine.Machine, a Matrix, x []float64, kind grid.TrackKi
 		if !t.pad {
 			prod = t.val * t.x
 		}
-		m.Set(c, regBV, prod)
+		m.Set(c, core.KeyedVal, prod)
 	}
-	segScan(collectives.Add)
+	k.Scan(collectives.Add, 0.0)
 	m.Phase("spmv/route-out")
-	// A PE is the last of its segment iff its successor is a head (or it
-	// is the final PE); learn the successor's head flag in one round.
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 1; i < total; i++ {
-			send(mt.At(i), mt.At(i-1), "spmv.nexthead", m.Get(mt.At(i), regHead))
-		}
-	})
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i < total; i++ {
-			c := mt.At(i)
-			t := m.Get(c, regT).(triple)
-			if t.pad {
-				continue
-			}
-			last := i == total-1
-			if !last {
-				nh := m.Get(c, "spmv.nexthead").(bool)
-				// The successor being a pad triple also ends the segment
-				// (pads sort last and form their own segment).
-				last = nh
-			}
-			if last {
-				send(c, ot.At(t.row), "spmv.y", m.Get(c, regBV))
-			}
-		}
-	})
+	k.DeliverLast(func(v machine.Value) (machine.Coord, bool) {
+		t := v.(triple)
+		return ot.At(t.row), !t.pad
+	}, "spmv.y")
 	for i := 0; i < total; i++ {
 		c := mt.At(i)
-		m.Del(c, "spmv.nexthead")
-		m.Del(c, regBV)
-		m.Del(c, regHead)
+		m.Del(c, core.KeyedVal)
+		m.Del(c, core.KeyedHead)
 		m.Del(c, regT)
 	}
 
@@ -261,40 +205,21 @@ func MultiplyMapped(m *machine.Machine, a Matrix, x []float64, kind grid.TrackKi
 }
 
 // colKey and rowKey order real triples by column/row with pads last.
-func colKey(t triple) int64 {
+func colKey(v machine.Value) int64 {
+	t := v.(triple)
 	if t.pad {
 		return int64(1) << 60
 	}
 	return int64(t.col)
 }
 
-func rowKey(t triple) int64 {
+func rowKey(v machine.Value) int64 {
+	t := v.(triple)
 	if t.pad {
 		return int64(1) << 60
 	}
 	return int64(t.row)
 }
 
-func tripleByCol(a, b machine.Value) bool { return colKey(a.(triple)) < colKey(b.(triple)) }
-func tripleByRow(a, b machine.Value) bool { return rowKey(a.(triple)) < rowKey(b.(triple)) }
-
-// electLeaders sets regHead on each track position whose key differs from
-// its predecessor's ("each processor sends its column index to the next
-// processor in the sequence; if the received index differs from its own or
-// no message is received, it becomes a leader").
-func electLeaders(m *machine.Machine, t grid.Track, total int, key func(triple) int64) {
-	m.Par(func(send func(from, to machine.Coord, dstReg machine.Reg, v machine.Value)) {
-		for i := 0; i+1 < total; i++ {
-			send(t.At(i), t.At(i+1), "spmv.prev", key(m.Get(t.At(i), regT).(triple)))
-		}
-	})
-	for i := 0; i < total; i++ {
-		c := t.At(i)
-		head := true
-		if i > 0 {
-			head = m.Get(c, "spmv.prev").(int64) != key(m.Get(c, regT).(triple))
-			m.Del(c, "spmv.prev")
-		}
-		m.Set(c, regHead, head)
-	}
-}
+func tripleByCol(a, b machine.Value) bool { return colKey(a) < colKey(b) }
+func tripleByRow(a, b machine.Value) bool { return rowKey(a) < rowKey(b) }

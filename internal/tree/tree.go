@@ -27,7 +27,6 @@ import (
 	"repro/internal/collectives"
 	"repro/internal/grid"
 	"repro/internal/machine"
-	"repro/internal/zorder"
 )
 
 // Tree is a rooted tree given by a parent array: Parent[v] is v's parent,
@@ -175,8 +174,7 @@ func (t Tree) tourScan(m *machine.Machine, values []float64, rootfix bool) ([]fl
 		return nil, fmt.Errorf("tree: %d values for %d nodes", len(values), t.Nodes())
 	}
 	tour, enter, exitOf := t.eulerTour()
-	side := zorder.NextPow2(isqrtCeil(len(tour)))
-	r := grid.Square(machine.Coord{}, side)
+	r := grid.Square(machine.Coord{}, grid.Pow2Side(len(tour)))
 	tr := grid.ZOrder(r)
 
 	// Lay the signed tour contributions out along the Z-order curve.
@@ -241,12 +239,4 @@ func Balanced(n int) Tree {
 		p[i] = (i - 1) / 2
 	}
 	return Tree{Parent: p}
-}
-
-func isqrtCeil(n int) int {
-	r := 0
-	for r*r < n {
-		r++
-	}
-	return r
 }

@@ -160,10 +160,7 @@ func TestTreefixLinearEnergy(t *testing.T) {
 	// growing log factor more (the [38] baseline on a path).
 	baseline := func(n int) float64 {
 		m := machine.New()
-		side := 1
-		for side*side < n {
-			side *= 2
-		}
+		side := grid.Pow2Side(n)
 		r := grid.Square(machine.Coord{}, side)
 		tk := grid.RowMajor(r)
 		for i := 0; i < side*side; i++ {

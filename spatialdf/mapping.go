@@ -1,15 +1,8 @@
 package spatialdf
 
 import (
-	"math"
-
-	"repro/internal/collectives"
 	"repro/internal/grid"
-	"repro/internal/machine"
-	"repro/internal/mapped"
 	"repro/internal/mapping"
-	"repro/internal/order"
-	"repro/internal/zorder"
 )
 
 // Mapping is a serializable layout/schedule configuration: which grid
@@ -54,70 +47,6 @@ func WithMapping(m Mapping) Option {
 			c.err = err
 			return
 		}
-		c.mapping, c.mapped = m, true
+		c.mapping = m
 	}
-}
-
-// scanMapped runs ScanWith's grid program under an explicit mapping.
-func scanMapped(op func(a, b float64) float64, identity float64, vals []float64, cfg config) ([]float64, Metrics) {
-	m, r := gridFor(len(vals), cfg, "scan")
-	t := mapped.ScanTrack(cfg.mapping, r)
-	for i := 0; i < r.Size(); i++ {
-		if i < len(vals) {
-			m.Set(t.At(i), "v", vals[i])
-		} else {
-			m.Set(t.At(i), "v", identity)
-		}
-	}
-	mapped.Scan(m, r, "v", func(a, b machine.Value) machine.Value {
-		return op(a.(float64), b.(float64))
-	}, identity, cfg.mapping)
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m)
-}
-
-// reduceMapped runs Reduce's grid program under an explicit mapping.
-func reduceMapped(vals []float64, cfg config) (float64, Metrics) {
-	m := cfg.newMachine()
-	m.Phase("reduce")
-	r := mapped.ReduceRegion(paddedSize(len(vals)), cfg.mapping)
-	t := grid.RowMajor(r)
-	for i := 0; i < r.Size(); i++ {
-		v := 0.0
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
-	mapped.Reduce(m, r, "v", collectives.Add, cfg.mapping)
-	return m.Get(r.Origin, "v").(float64), fromMachine(m)
-}
-
-// sortMapped runs Sort's grid program under an explicit mapping.
-func sortMapped(vals []float64, cfg config) ([]float64, Metrics) {
-	m, r := gridFor(len(vals), cfg, "sort/"+string(cfg.mapping.Sort))
-	t := mapped.SortTrack(cfg.mapping, r)
-	for i := 0; i < r.Size(); i++ {
-		v := math.Inf(1)
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
-	mapped.Sort(m, r, "v", order.Float64, cfg.mapping)
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m)
-}
-
-// paddedSize returns the square power-of-two grid size holding n
-// elements — the same padding rule as gridFor.
-func paddedSize(n int) int {
-	side := zorder.NextPow2(int(math.Ceil(math.Sqrt(float64(max(n, 1))))))
-	return side * side
 }

@@ -41,13 +41,14 @@ type config struct {
 	shards     int
 	batchSends bool
 	mapping    mapping.Mapping
-	mapped     bool
 	backend    machine.Backend
 	err        error
 }
 
 func buildConfig(opts []Option) config {
-	cfg := config{seed: 1}
+	// Without WithMapping an operation runs the paper's mapping: Z-order
+	// layouts, the quadrant-recursion collectives, the 2-D mergesort.
+	cfg := config{seed: 1, mapping: mapping.Mapping{Track: TrackZOrder, Arity: 4, Tile: mapping.TileSquare, Sort: mapping.SortMerge}}
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)

@@ -36,11 +36,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/mapped"
 	"repro/internal/order"
 	"repro/internal/sortnet"
 	"repro/internal/spmv"
 	"repro/internal/trace"
-	"repro/internal/zorder"
 )
 
 // Metrics are the Spatial Computer Model costs of one operation.
@@ -159,10 +159,9 @@ func (m Metrics) Sequential(next Metrics) Metrics {
 // the operation name) and a square power-of-two region large enough for n
 // elements.
 func gridFor(n int, cfg config, phase string) (*machine.Machine, grid.Rect) {
-	side := zorder.NextPow2(int(math.Ceil(math.Sqrt(float64(max(n, 1))))))
 	m := cfg.newMachine()
 	m.Phase(phase)
-	return m, grid.Square(machine.Coord{}, side)
+	return m, grid.Square(machine.Coord{}, grid.Pow2Side(n))
 }
 
 // Scan returns the inclusive prefix sums of vals using the energy-optimal
@@ -179,11 +178,8 @@ func ScanWith(op func(a, b float64) float64, identity float64, vals []float64, o
 		return nil, Metrics{}
 	}
 	cfg := buildConfig(opts)
-	if cfg.mapped {
-		return scanMapped(op, identity, vals, cfg)
-	}
 	m, r := gridFor(len(vals), cfg, "scan")
-	t := grid.ZOrder(r)
+	t := mapped.ScanTrack(cfg.mapping, r)
 	for i := 0; i < r.Size(); i++ {
 		if i < len(vals) {
 			m.Set(t.At(i), "v", vals[i])
@@ -191,9 +187,9 @@ func ScanWith(op func(a, b float64) float64, identity float64, vals []float64, o
 			m.Set(t.At(i), "v", identity)
 		}
 	}
-	collectives.Scan(m, r, "v", func(a, b machine.Value) machine.Value {
+	mapped.Scan(m, r, "v", func(a, b machine.Value) machine.Value {
 		return op(a.(float64), b.(float64))
-	}, identity)
+	}, identity, cfg.mapping)
 	out := make([]float64, len(vals))
 	for i := range out {
 		out[i] = m.Get(t.At(i), "v").(float64)
@@ -284,10 +280,9 @@ func Reduce(vals []float64, opts ...Option) (float64, Metrics) {
 		return 0, Metrics{}
 	}
 	cfg := buildConfig(opts)
-	if cfg.mapped {
-		return reduceMapped(vals, cfg)
-	}
-	m, r := gridFor(len(vals), cfg, "reduce")
+	m := cfg.newMachine()
+	m.Phase("reduce")
+	r := mapped.ReduceRegion(len(vals), cfg.mapping)
 	t := grid.RowMajor(r)
 	for i := 0; i < r.Size(); i++ {
 		v := 0.0
@@ -296,7 +291,7 @@ func Reduce(vals []float64, opts ...Option) (float64, Metrics) {
 		}
 		m.Set(t.At(i), "v", v)
 	}
-	collectives.Reduce(m, r, "v", collectives.Add)
+	mapped.Reduce(m, r, "v", collectives.Add, cfg.mapping)
 	return m.Get(r.Origin, "v").(float64), fromMachine(m)
 }
 
@@ -313,21 +308,17 @@ func BroadcastCost(n int, opts ...Option) Metrics {
 // mergesort (Theorem V.8: Theta(n^{3/2}) energy — matching the permutation
 // lower bound — O(log^3 n) depth, Theta(sqrt n) distance).
 func Sort(vals []float64, opts ...Option) ([]float64, Metrics) {
-	if cfg := buildConfig(opts); cfg.mapped {
-		if len(vals) == 0 {
-			return nil, Metrics{}
-		}
-		return sortMapped(vals, cfg)
-	}
-	return sortPadded(vals, opts, "sort/merge", func(m *machine.Machine, r grid.Rect) {
-		core.MergeSort(m, r, "v", order.Float64)
+	cfg := buildConfig(opts)
+	track := func(r grid.Rect) grid.Track { return mapped.SortTrack(cfg.mapping, r) }
+	return sortPadded(vals, cfg, "sort/"+string(cfg.mapping.Sort), track, func(m *machine.Machine, r grid.Rect) {
+		mapped.Sort(m, r, "v", order.Float64, cfg.mapping)
 	})
 }
 
 // SortBitonic sorts with the bitonic network on a row-major layout — the
 // Theta(n^{3/2} log n)-energy baseline of Lemma V.4.
 func SortBitonic(vals []float64, opts ...Option) ([]float64, Metrics) {
-	return sortPadded(vals, opts, "sort/bitonic", func(m *machine.Machine, r grid.Rect) {
+	return sortPadded(vals, buildConfig(opts), "sort/bitonic", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
 		sortnet.Sort(m, grid.RowMajor(r), "v", r.Size(), order.Float64)
 	})
 }
@@ -335,17 +326,19 @@ func SortBitonic(vals []float64, opts ...Option) ([]float64, Metrics) {
 // SortMesh sorts with shearsort, a classic mesh-connected-computer
 // algorithm with polynomial Theta(sqrt n log n) depth (Section II-B).
 func SortMesh(vals []float64, opts ...Option) ([]float64, Metrics) {
-	return sortPadded(vals, opts, "sort/shearsort", func(m *machine.Machine, r grid.Rect) {
+	return sortPadded(vals, buildConfig(opts), "sort/shearsort", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
 		sortnet.Shearsort(m, r, "v", order.Float64)
 	})
 }
 
-func sortPadded(vals []float64, opts []Option, phase string, run func(*machine.Machine, grid.Rect)) ([]float64, Metrics) {
+// sortPadded lays vals out along track(r), padded with +Inf, runs the sort
+// and reads the sorted values back along the same track.
+func sortPadded(vals []float64, cfg config, phase string, track func(grid.Rect) grid.Track, run func(*machine.Machine, grid.Rect)) ([]float64, Metrics) {
 	if len(vals) == 0 {
 		return nil, Metrics{}
 	}
-	m, r := gridFor(len(vals), buildConfig(opts), phase)
-	t := grid.RowMajor(r)
+	m, r := gridFor(len(vals), cfg, phase)
+	t := track(r)
 	for i := 0; i < r.Size(); i++ {
 		v := math.Inf(1)
 		if i < len(vals) {
@@ -496,13 +489,9 @@ func (a Matrix) MultiplyDense(x []float64) []float64 {
 func SpMV(a Matrix, x []float64, opts ...Option) (y []float64, met Metrics, err error) {
 	defer captureMemLimit(&err)
 	cfg := buildConfig(opts)
-	track := grid.TrackZOrder
-	if cfg.mapped {
-		track = cfg.mapping.Track
-	}
 	m := cfg.newMachine()
 	m.Phase("spmv")
-	y, err = spmv.MultiplyMapped(m, a.internal(), x, track)
+	y, err = spmv.MultiplyMapped(m, a.internal(), x, cfg.mapping.Track)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
