@@ -59,16 +59,19 @@ contracts:
 		-run '^(TestShardBatchOutputInvariance|TestShardTraceStreamInvariance|TestBackendInvariance)$$' \
 		./internal/experiments/ ./internal/experiments/backendinvariance/
 
-# staticcheck runs the pinned honnef.co/go/tools linter. The tool is not
-# vendored, so offline machines (no module proxy) skip it with a warning
-# instead of failing `make check`; CI always has network and runs it for
-# real. Pin bumps go here and in .github/workflows/ci.yml together.
+# staticcheck runs the pinned honnef.co/go/tools linter: the binary on
+# PATH if there is one, else the pinned version from the local module
+# cache. It never downloads (GOPROXY=off), so a machine that has neither
+# skips it with a warning instead of failing `make check` or reaching for
+# the network; CI installs the pinned version first and runs it for real.
+# Pin bumps go here and in .github/workflows/ci.yml together.
 STATICCHECK_VERSION ?= 2025.1.1
+STATICCHECK_CACHED = GOPROXY=off $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
-	elif $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) -version >/dev/null 2>&1; then \
-		$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./... ; \
+	elif $(STATICCHECK_CACHED) -version >/dev/null 2>&1; then \
+		$(STATICCHECK_CACHED) ./... ; \
 	else \
 		echo "staticcheck: tool unavailable (offline?); skipping" >&2 ; \
 	fi

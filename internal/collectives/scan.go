@@ -233,7 +233,8 @@ func trackLen(t grid.Track) int {
 // both scans: an up-sweep round sends from child roots (or left children)
 // to their parent, a down-sweep round from a parent to its children; the
 // only PE that is both is the height-1 holder sending to itself, which is
-// free. ScanTrack's down-sweep pairs are compare-exchanges.
+// free. ScanTrack's down-sweep levels are compare-exchange levels, each
+// charged with one Wires.Exchange call.
 func scanHost(m *machine.Machine, t grid.Track, reg, headReg machine.Reg, op Op, identity machine.Value, scan hostScan) machine.Value {
 	n := t.Len()
 	cs, vals := make([]machine.Coord, n), make([]machine.Value, n)
@@ -344,12 +345,21 @@ func treeScan(w *machine.Wires, vals []machine.Value, op Op, identity machine.Va
 	}
 	total := vals[n-1]
 	vals[n-1] = identity
+	// A level is charged in parts of at most len(part) pairs, which is
+	// exact because its pairs are vertex-disjoint.
+	var part [1024]machine.Pair
 	for d := n / 2; d >= 1; d /= 2 {
+		level := part[:0]
 		for k := 0; k+2*d <= n; k += 2 * d {
+			if len(level) == len(part) {
+				w.Exchange(0, level)
+				level = level[:0]
+			}
 			l, r := k+d-1, k+2*d-1
-			w.Exchange(l, r)
+			level = append(level, machine.Pair{I: l, J: r})
 			vals[l], vals[r] = vals[r], op(vals[r], vals[l])
 		}
+		w.Exchange(0, level)
 	}
 	for i := range vals {
 		vals[i] = op(vals[i], orig[i])

@@ -1,7 +1,9 @@
 package collectives
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +216,47 @@ func TestScanTrackMatchesPrefix(t *testing.T) {
 			if got := m.Get(tr.At(i), "v").(float64); !almostEqual(got, want[i]) {
 				t.Fatalf("n=%d: ScanTrack prefix[%d] = %v, want %v", n, i, got, want[i])
 			}
+		}
+	}
+}
+
+// TestScanTrackCountingSplitsLevels runs ScanTrack at a size whose widest
+// down-sweep levels take more than one kernel call, on the counting-only
+// path and on the value path, under the ideal backend and under a torus
+// with congestion tracking, and requires the same prefixes, metrics but
+// PeakMemory, per-PE clocks and link loads.
+func TestScanTrackCountingSplitsLevels(t *testing.T) {
+	const side = 64
+	r := grid.Square(machine.Coord{}, side)
+	tr := grid.RowMajor(r)
+	run := func(spec string, counting bool) string {
+		bk, err := machine.ParseBackend(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine.New()
+		m.SetBackend(bk)
+		m.SetBatchSends(counting)
+		if bk.Finite() {
+			m.EnableCongestionTracking()
+		}
+		for i := 0; i < r.Size(); i++ {
+			m.Set(tr.At(i), "v", float64(i%7)-2.5)
+		}
+		total := ScanTrack(m, tr, "v", Add, 0.0)
+		met := m.Metrics()
+		met.PeakMemory = 0
+		var b strings.Builder
+		fmt.Fprintf(&b, "%v %+v links max=%d total=%d\n", total, met, m.MaxCongestion(), m.TotalLinkTraversals())
+		for i := 0; i < r.Size(); i++ {
+			d, x := m.Clock(tr.At(i))
+			fmt.Fprintf(&b, "%v/%d/%d ", m.Get(tr.At(i), "v"), d, x)
+		}
+		return b.String()
+	}
+	for _, spec := range []string{"ideal", "torus:16x16:2"} {
+		if run(spec, true) != run(spec, false) {
+			t.Errorf("%s: the counting path differs from the value path", spec)
 		}
 	}
 }

@@ -177,9 +177,11 @@ func exchangeWorkload(m *Machine, path string, nested bool) {
 			pairs := rng.Perm(wires)[:2*rng.Intn(wires/2+1)]
 			switch path {
 			case "wires":
+				level := make([]Pair, 0, len(pairs)/2)
 				for k := 0; k < len(pairs); k += 2 {
-					w.Exchange(pairs[k], pairs[k+1])
+					level = append(level, Pair{pairs[k], pairs[k+1]})
 				}
+				w.Exchange(0, level)
 			case "value":
 				m.Par(func(send func(from, to Coord, dstReg Reg, v Value)) {
 					for k := 0; k < len(pairs); k += 2 {

@@ -85,22 +85,45 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Exchange charges one compare-exchange between wires i != j: the two
-// counting-only messages i->j and j->i of one parallel round, each extending
-// its sender's chain as of the start of the exchange. Consecutive exchanges
-// form one round only if they are vertex-disjoint, which is what defines a
-// sorting-network level.
-func (w *Wires) Exchange(i, j int) {
-	a, b := w.homes[i], w.homes[j]
-	d := w.bk.homeDist(a, b)
+// Pair is one compare-exchange between wires I and J of a Wires kernel.
+type Pair struct{ I, J int }
+
+// Exchange charges one level of compare-exchanges: for each pair p, the two
+// counting-only messages between wires off+p.I and off+p.J of one parallel
+// round, each extending its sender's chain as of the start of the level.
+// The pairs must be vertex-disjoint, which is what defines a
+// sorting-network level: then no exchange reads a clock another one of the
+// level has advanced. off is the first wire of the track the level runs
+// on, so one level serves every track of a fused run.
+func (w *Wires) Exchange(off int, level []Pair) {
+	homes := w.homes
+	clk := w.clk[:len(homes)] // one length, so clk needs no bounds check of its own
+	routed := w.bk.Kind == BackendTorus || w.cong != nil
+	acc := w.acc
+	for _, p := range level {
+		i, j := off+p.I, off+p.J
+		a, b := homes[i], homes[j]
+		d := Dist(a, b)
+		if routed {
+			d = w.route(a, b)
+		}
+		ci, cj := &clk[i], &clk[j]
+		toJ, toI := acc.add(*ci, d), acc.add(*cj, d)
+		ci.merge(toI.depth, toI.dist)
+		cj.merge(toJ.depth, toJ.dist)
+	}
+	w.acc = acc
+}
+
+// route returns the distance between homes a and b under a torus or with
+// congestion tracking, walking the link loads of both messages a->b and
+// b->a when tracking is on.
+func (w *Wires) route(a, b Coord) int64 {
 	if w.cong != nil {
 		w.cong.Walk(w.fab, fabric.Coord(a), fabric.Coord(b))
 		w.cong.Walk(w.fab, fabric.Coord(b), fabric.Coord(a))
 	}
-	ci, cj := &w.clk[i], &w.clk[j]
-	toJ, toI := w.acc.add(*ci, d), w.acc.add(*cj, d)
-	ci.merge(toI.depth, toI.dist)
-	cj.merge(toJ.depth, toJ.dist)
+	return w.bk.homeDist(a, b)
 }
 
 // Send charges one counting-only message from wire i to wire j, extending

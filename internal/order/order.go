@@ -2,13 +2,24 @@
 // selection and sparse-algebra packages.
 package order
 
-import "repro/internal/machine"
+import (
+	"cmp"
 
-// Less is a strict weak ordering on element values.
+	"repro/internal/machine"
+)
+
+// Less is a strict weak ordering on element values: irreflexive,
+// transitive, and with incomparability (neither a < b nor b < a)
+// transitive too, so the values fall into ordered classes of equal
+// elements. The sorts rely on it: a relation that is not one (a bare `<`
+// on floats that may be NaN) leaves their output unsorted, and the
+// counting-only sorting networks replace each value by the rank of its
+// class, which only a strict weak ordering defines.
 type Less func(a, b machine.Value) bool
 
-// Float64 orders float64 values ascending.
-func Float64(a, b machine.Value) bool { return a.(float64) < b.(float64) }
+// Float64 orders float64 values ascending, with NaN before every number
+// (as cmp.Compare and sort.Float64s do); -0 and +0 are equal.
+func Float64(a, b machine.Value) bool { return cmp.Less(a.(float64), b.(float64)) }
 
 // Int64 orders int64 values ascending.
 func Int64(a, b machine.Value) bool { return a.(int64) < b.(int64) }

@@ -15,16 +15,21 @@
 // delivery. Because the communication pattern is oblivious to the values,
 // the package also supports the machine's counting-only fast path: when
 // machine.CountingOnly() reports true (SetBatchSends admitted it and no
-// trace sink or memory limit is attached), values are kept host-side and each
-// comparator is one exchange on a machine.Wires kernel bound to the
-// network's wires instead of register traffic, leaving Energy, Depth,
-// Distance and Messages bit-identical. Large networks stream their levels
-// (see Levels) so a 2^20-wire bitonic network never materializes its
-// ~2*10^8 comparators at once.
+// trace sink or memory limit is attached), there is no register traffic.
+// Each track's values are replaced host-side by their ranks under the
+// track's order, the comparators swap ranks, and each level is charged with
+// one machine.Wires exchange call per track; the values are written back
+// once, in the order the ranks ended in. Energy, Depth, Distance, Messages
+// and the output stay bit-identical, since for a strict weak ordering (see
+// order.Less) comparing ranks decides every swap as comparing values does.
+// Large networks stream their levels (see Levels) so a 2^20-wire bitonic
+// network never materializes its ~2*10^8 comparators at once.
 package sortnet
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/machine"
@@ -222,8 +227,9 @@ func RunLevels(m *machine.Machine, ls Levels, t grid.Track, reg machine.Reg, les
 // per-track rounds (e.g. one row of a mesh) would be too small. The tracks
 // must be pairwise disjoint and every track position must hold reg. When
 // the machine reports CountingOnly — the fast path SetBatchSends admits
-// when no trace sink or memory limit is attached — the levels run on a
-// Wires counting kernel instead (runManyCounting).
+// when no trace sink or memory limit is attached — the network runs on
+// host-side ranks and a Wires counting kernel instead (runManyCounting),
+// with the same costs and the same output.
 func RunMany(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) {
 	if m.CountingOnly() {
 		runManyCounting(m, ls, tracks, reg)
@@ -264,52 +270,146 @@ func RunMany(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) 
 	}
 }
 
-// runManyCounting is RunMany on the counting-only fast path: the values
-// live in host memory and each comparator is one machine.Wires exchange —
-// the fused form of the two counting messages the register-delivering path
-// would send, sound because the comparators of a level are vertex-disjoint.
-// The tracks are flattened into one wire list, so a track's wires (and their
-// clocks) sit side by side whatever its layout on the grid. The sorted
-// values are placed back into reg at the end. All cost metrics except
-// PeakMemory (no "net.in" register ever materializes) are bit-identical.
+// runManyCounting is RunMany on the counting-only fast path. The tracks are
+// flattened into one wire list bound to a machine.Wires kernel, so a
+// track's wires (and their clocks) sit side by side whatever its layout on
+// the grid. Each track's values are ranked once under the track's own Less
+// (rank), and the network then moves keys — a value's rank and the wire it
+// came from — instead of values: each level is one Wires.Exchange call per
+// track, charging the two counting messages of every comparator (sound
+// because a level's comparators are vertex-disjoint), followed by the
+// comparators' swaps on the keys. Since less(a, b) holds exactly when
+// rank(a) < rank(b), every swap decision is the value path's, so the final
+// permutation, and the place of every equal-but-distinct value, is too; the
+// values are placed back into reg along it once, at the end. All cost
+// metrics except PeakMemory (no "net.in" register ever materializes) are
+// bit-identical.
 func runManyCounting(m *machine.Machine, ls Levels, tracks []TrackRun, reg machine.Reg) {
-	total := 0
-	for _, tr := range tracks {
-		total += tr.Track.Len()
-	}
-	cs := make([]machine.Coord, 0, total)
+	s := scratchPool.Get().(*scratch)
+	s.cs = s.cs[:0]
 	for _, tr := range tracks {
 		for i := 0; i < tr.Track.Len(); i++ {
-			cs = append(cs, tr.Track.At(i))
+			s.cs = append(s.cs, tr.Track.At(i))
 		}
 	}
-	w := m.BindWires(cs)
-	vals := make([]machine.Value, total)
-	w.Load(reg, vals)
-	var level []Comparator
+	total := len(s.cs)
+	w := m.BindWires(s.cs)
+	s.vals, s.keys = resize(s.vals, total), resize(s.keys, total)
+	w.Load(reg, s.vals)
+	base := 0
+	for _, tr := range tracks {
+		n := tr.Track.Len()
+		s.rank(base, n, tr.Less)
+		base += n
+	}
 	for l := 0; l < ls.Count; l++ {
-		level = ls.At(l, level)
-		base := 0
-		for _, tr := range tracks {
-			for _, c := range level {
-				lo, hi := base+c.Lo, base+c.Hi
-				w.Exchange(lo, hi)
-				a, bv := vals[lo], vals[hi]
-				small, large := a, bv
-				if tr.Less(bv, a) {
-					small, large = bv, a
-				}
-				if c.Asc {
-					vals[lo], vals[hi] = small, large
-				} else {
-					vals[lo], vals[hi] = large, small
-				}
+		s.level = ls.At(l, s.level)
+		for from := 0; from < len(s.level); from += chunk {
+			cmps := s.level[from:min(from+chunk, len(s.level))]
+			s.pairs = s.pairs[:0]
+			for _, c := range cmps {
+				s.pairs = append(s.pairs, machine.Pair{I: c.Lo, J: c.Hi})
 			}
-			base += tr.Track.Len()
+			base := 0
+			for _, tr := range tracks {
+				w.Exchange(base, s.pairs)
+				swap(s.keys[base:], cmps)
+				base += tr.Track.Len()
+			}
 		}
 	}
-	w.Store(reg, vals)
+	s.out = resize(s.out, total)
+	for i, k := range s.keys {
+		s.out[i] = s.vals[k.src()]
+	}
+	w.Store(reg, s.out)
 	w.Close()
+	if total <= maxPooled {
+		clear(s.vals) // the pool must not keep the values alive
+		clear(s.out)
+		scratchPool.Put(s)
+	}
+}
+
+// chunk is how many comparators of a level runManyCounting charges and
+// applies at a time: their kernel pairs stay in the L1 cache, and a level
+// too large for the cache is read from memory once, not twice.
+const chunk = 1024
+
+// swap applies the comparators to the keys of one track as the value path
+// applies them to values: the key of smaller rank ends at Lo if Asc and at
+// Hi otherwise, and on a tie the key at Lo counts as the smaller one.
+func swap(keys []key, cmps []Comparator) {
+	for _, c := range cmps {
+		small, large := keys[c.Lo], keys[c.Hi]
+		if large.rank() < small.rank() {
+			small, large = large, small
+		}
+		if c.Asc {
+			keys[c.Lo], keys[c.Hi] = small, large
+		} else {
+			keys[c.Lo], keys[c.Hi] = large, small
+		}
+	}
+}
+
+// key stands for a value during a counting run: the rank of the value
+// within its track in the high 32 bits, the wire it came from in the low
+// 32. One word, so a comparator's swap is two conditional moves.
+type key uint64
+
+func newKey(rank, src uint32) key { return key(rank)<<32 | key(src) }
+func (k key) rank() uint32        { return uint32(k >> 32) }
+func (k key) src() int            { return int(uint32(k)) }
+
+// scratch holds runManyCounting's buffers. They are pooled, so the
+// 2·log2(side)+3 phases of a Shearsort, and the many small networks
+// inside a mergesort, allocate them once instead of once per call.
+// Buffers for more than maxPooled wires are left to the garbage collector:
+// a network that large is one call per sort, and pooled buffers (60 bytes
+// a wire) would stay live through whatever the program runs next.
+type scratch struct {
+	cs    []machine.Coord
+	vals  []machine.Value // the loaded values, by wire
+	out   []machine.Value // the sorted values, by wire
+	keys  []key
+	idx   []uint32 // rank's sort order
+	level []Comparator
+	pairs []machine.Pair
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+const maxPooled = 1 << 16
+
+// rank keys the n wires from base on, which hold one track, under that
+// track's less: the wires are sorted by value, and a value's rank is the
+// number of strictly smaller values' classes, so equal values share a rank
+// and, less being a strict weak ordering, less(a, b) holds exactly when
+// rank(a) < rank(b).
+func (s *scratch) rank(base, n int, less order.Less) {
+	vals, idx := s.vals[base:base+n], resize(s.idx, n)
+	for i := range idx {
+		idx[i] = uint32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool { return less(vals[idx[a]], vals[idx[b]]) })
+	var r uint32
+	for k, i := range idx {
+		if k > 0 && less(vals[idx[k-1]], vals[i]) {
+			r++
+		}
+		s.keys[base+int(i)] = newKey(r, uint32(base)+i)
+	}
+	s.idx = idx
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Sort runs the full bitonic sorting network over the first n positions of

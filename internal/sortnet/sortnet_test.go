@@ -1,8 +1,11 @@
 package sortnet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -331,5 +334,93 @@ func TestNetworkOnZOrderLayoutAblation(t *testing.T) {
 	zE := run(grid.ZOrder(r))
 	if zE >= rowE {
 		t.Errorf("z-order-mapped bitonic energy %d not below row-major %d", zE, rowE)
+	}
+}
+
+// TestCountingPathMatchesValuePathWithTies runs every network family on
+// inputs full of equal but distinguishable values — KV pairs compared by
+// key only, and both zeros — along the value path and the counting-only
+// path, and requires the same register payloads (so the same place for
+// every tied value), the same metrics but PeakMemory, per-PE clocks,
+// touched PEs and link loads, on every backend kind with and without
+// congestion tracking. The 4096-wire bitonic network has levels of 2048
+// comparators, more than the counting path applies at a time.
+func TestCountingPathMatchesValuePathWithTies(t *testing.T) {
+	networks := []struct {
+		name string
+		side int
+		run  func(m *machine.Machine, r grid.Rect, less order.Less)
+	}{
+		{"bitonic", 8, func(m *machine.Machine, r grid.Rect, less order.Less) {
+			Sort(m, grid.RowMajor(r), "v", r.Size(), less)
+		}},
+		{"odd-even", 8, func(m *machine.Machine, r grid.Rect, less order.Less) {
+			Run(m, OddEvenMergeSort(r.Size()), grid.ZOrder(r), "v", less)
+		}},
+		{"transposition", 8, func(m *machine.Machine, r grid.Rect, less order.Less) {
+			Run(m, OddEvenTransposition(r.Size()), grid.RowMajor(r), "v", less)
+		}},
+		{"shearsort", 8, func(m *machine.Machine, r grid.Rect, less order.Less) { Shearsort(m, r, "v", less) }},
+		{"bitonic-4096", 64, func(m *machine.Machine, r grid.Rect, less order.Less) {
+			Sort(m, grid.RowMajor(r), "v", r.Size(), less)
+		}},
+	}
+	byKey := func(a, b machine.Value) bool { return a.(order.KV).Key < b.(order.KV).Key }
+	inputs := []struct {
+		name string
+		less order.Less
+		val  func(rng *rand.Rand, i int) machine.Value
+	}{
+		{"kv-by-key", byKey, func(rng *rand.Rand, i int) machine.Value {
+			return order.KV{Key: int64(rng.Intn(4)), Seq: int64(i)}
+		}},
+		{"zeros", order.Float64, func(rng *rand.Rand, i int) machine.Value {
+			return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
+		}},
+	}
+	run := func(spec string, cong, counting bool, r grid.Rect, in []machine.Value, less order.Less, network func(*machine.Machine, grid.Rect, order.Less)) string {
+		bk, err := machine.ParseBackend(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine.New()
+		m.SetBackend(bk)
+		m.SetBatchSends(counting)
+		if cong {
+			m.EnableCongestionTracking()
+		}
+		grid.Place(m, grid.RowMajor(r), "v", in)
+		network(m, r, less)
+		met := m.Metrics()
+		met.PeakMemory = 0
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v touched=%d links max=%d total=%d\n", met, m.TouchedPEs(), m.MaxCongestion(), m.TotalLinkTraversals())
+		for row := 0; row < r.H+2; row++ {
+			for col := 0; col < r.W+3; col++ {
+				c := machine.Coord{Row: row, Col: col}
+				d, x := m.Clock(c)
+				v, _ := m.Lookup(c, "v")
+				fmt.Fprintf(&b, "%d/%d/%v ", d, x, v)
+			}
+		}
+		return b.String()
+	}
+	for _, nw := range networks {
+		r := grid.Square(machine.Coord{Row: 1, Col: 2}, nw.side)
+		for _, in := range inputs {
+			rng := rand.New(rand.NewSource(12))
+			vals := make([]machine.Value, r.Size())
+			for i := range vals {
+				vals[i] = in.val(rng, i)
+			}
+			for _, spec := range []string{"ideal", "mesh:5x3:2", "torus:4x4:3"} {
+				for _, cong := range []bool{false, true} {
+					value := run(spec, cong, false, r, vals, in.less, nw.run)
+					if counting := run(spec, cong, true, r, vals, in.less, nw.run); counting != value {
+						t.Errorf("%s cong=%v %s %s: the counting path differs from the value path", spec, cong, nw.name, in.name)
+					}
+				}
+			}
+		}
 	}
 }

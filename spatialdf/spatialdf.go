@@ -28,6 +28,7 @@
 package spatialdf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -304,7 +305,8 @@ func BroadcastCost(n int, opts ...Option) Metrics {
 	return fromMachine(m)
 }
 
-// Sort returns vals in ascending order using the energy-optimal 2-D
+// Sort returns vals in ascending order, NaN first as sort.Float64s orders
+// it (as do SortBitonic and SortMesh), using the energy-optimal 2-D
 // mergesort (Theorem V.8: Theta(n^{3/2}) energy — matching the permutation
 // lower bound — O(log^3 n) depth, Theta(sqrt n) distance).
 func Sort(vals []float64, opts ...Option) ([]float64, Metrics) {
@@ -356,9 +358,9 @@ func sortPadded(vals []float64, cfg config, phase string, track func(grid.Rect) 
 
 // SortIndices sorts (value, index) pairs with the 2-D mergesort and returns
 // the permutation order such that vals[order[0]] <= vals[order[1]] <= ...
-// (ties broken by original index, i.e. a stable argsort). Use it when the
-// sort key travels with a payload — e.g. a GNN sort-pooling layer ordering
-// node embeddings by a score channel.
+// (ties broken by original index, i.e. a stable argsort; NaN sorts first,
+// as in Sort). Use it when the sort key travels with a payload — e.g. a
+// GNN sort-pooling layer ordering node embeddings by a score channel.
 func SortIndices(vals []float64, opts ...Option) ([]int, Metrics) {
 	if len(vals) == 0 {
 		return nil, Metrics{}
@@ -378,8 +380,8 @@ func SortIndices(vals []float64, opts ...Option) ([]int, Metrics) {
 	}
 	less := func(a, b machine.Value) bool {
 		x, y := a.(kv), b.(kv)
-		if x.v != y.v {
-			return x.v < y.v
+		if c := cmp.Compare(x.v, y.v); c != 0 {
+			return c < 0
 		}
 		return x.i < y.i
 	}

@@ -1,8 +1,10 @@
 package spatialdf
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -421,5 +423,53 @@ func TestTreefixFacade(t *testing.T) {
 	}
 	if _, _, err := (Tree{Parent: []int{1, 0}}).RootfixSum([]float64{1, 2}); err == nil {
 		t.Error("invalid tree accepted")
+	}
+}
+
+// TestSortsOrderNaN sorts an input holding NaN, both zeros and both
+// infinities. Every facade sort must order it as sort.Float64s does (NaN
+// first, -0 equal to +0), return a permutation of it, and place the equal
+// but distinguishable values (the two zeros, the NaNs) bit for bit alike
+// on the value path and on the counting-only path.
+func TestSortsOrderNaN(t *testing.T) {
+	nan := math.NaN()
+	vals := []float64{3, nan, 1, 2, 0, nan, -1, 5, 4, 7, 6, math.Copysign(0, -1), 9, 8, 11, 10, math.Inf(1), math.Inf(-1)}
+	bits := func(fs []float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	in := bits(vals)
+	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+	for name, f := range map[string]func([]float64, ...Option) ([]float64, Metrics){
+		"mergesort": Sort, "bitonic": SortBitonic, "mesh": SortMesh,
+	} {
+		got, _ := f(vals)
+		if !sort.Float64sAreSorted(got) {
+			t.Errorf("%s: %v is not sorted", name, got)
+		}
+		perm := bits(got)
+		sort.Slice(perm, func(i, j int) bool { return perm[i] < perm[j] })
+		if !slices.Equal(perm, in) {
+			t.Errorf("%s: %v is not a permutation of the input", name, got)
+		}
+		counting, _ := f(vals, WithBatchSends())
+		if !slices.Equal(bits(counting), bits(got)) {
+			t.Errorf("%s: counting-only path returned %v, value path %v", name, counting, got)
+		}
+	}
+	idx, _ := SortIndices(vals)
+	want := make([]int, len(vals))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(i, j int) bool { return cmp.Less(vals[want[i]], vals[want[j]]) })
+	if !slices.Equal(idx, want) {
+		t.Errorf("SortIndices = %v, want %v", idx, want)
+	}
+	if counting, _ := SortIndices(vals, WithBatchSends()); !slices.Equal(counting, idx) {
+		t.Errorf("SortIndices: counting-only path returned %v, value path %v", counting, idx)
 	}
 }
