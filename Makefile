@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check fmt contracts bench test bench-compare trace-smoke spatiald-smoke smoke conformance conformance-golden conformance-full experiments-refresh staticcheck perfbench-check loc
 
 # check is the full gate: build, formatting, vet, staticcheck, the
-# race-enabled test suite, the determinism contract suites the race build
+# race-enabled test suite, the execution-contract matrix the race build
 # skips, the trace-artifact smoke test, the spatiald daemon smoke test, the
 # tuner/graph/backend smokes, the benchmark module's vet and short tests,
 # the quick conformance run and its byte-for-byte verdict check.
@@ -47,17 +47,18 @@ fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "fmt: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
 
-# contracts runs the determinism contract suites, which skip themselves
-# under -race (the race detector makes their sweeps ~10x slower) and so
-# run in no race-enabled job: every experiment's rows and trace stream
-# byte-identical across shard counts and batch mode, and its answers
-# identical across finite backends. They are what catches a send engine
-# that drifts from byte-identity. Without -race the two packages take
-# about 6 and 4 minutes on one core, near go test's 10-minute default.
+# contracts runs the execution-contract matrix and the five tests that
+# check it, which skip themselves under -race (the race detector makes
+# their sweeps ~10x slower) and so run in no race-enabled job: every
+# experiment's output and message stream byte-identical across shard
+# counts, batch mode, the worker count, a trace sink and the result cache,
+# its message stream identical but for costs on finite backends, and every
+# Depth and Distance replayed from the stream by the critical-path check.
+# They are what catches a send engine that drifts from byte-identity.
 contracts:
 	$(GO) test -count 1 -timeout 20m \
-		-run '^(TestShardBatchOutputInvariance|TestShardTraceStreamInvariance|TestBackendInvariance)$$' \
-		./internal/experiments/ ./internal/experiments/backendinvariance/
+		-run '^Test(ExecutionContracts|ShardTraceStreamInvariance|ShardBatchOutputInvariance|BackendInvariance|CacheOutputIdentity)$$' \
+		./internal/experiments/
 
 # staticcheck runs the pinned honnef.co/go/tools linter: the binary on
 # PATH if there is one, else the pinned version from the local module

@@ -170,9 +170,12 @@ func TestComponentsTableIsRegistryRows(t *testing.T) {
 }
 
 // TestAllExperimentsCriticalPath runs every experiment in quick mode with
-// per-measurement critical-path verification: each measurement's recorded
-// event stream must reconstruct a depth chain of exactly Depth hops and a
-// distance chain summing to Distance. A mismatch panics out of the sweep.
+// per-measurement critical-path verification: every message must extend a
+// chain its sender holds by one hop, and each measurement's replayed
+// message count, energy, Depth, Distance and per-PE clocks must equal the
+// machine's. A mismatch panics out of the sweep. The check replays clocks
+// in O(touched PEs) state, so the sweep needs no more memory than an
+// unchecked one.
 func TestAllExperimentsCriticalPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")

@@ -2,6 +2,6 @@
 
 package main
 
-// raceEnabled lets long-running tests detect the race detector (roughly a
+// raceEnabled lets the full-sweep tests detect the race detector (roughly a
 // 10x slowdown) and skip sweeps that would exceed the test timeout.
 const raceEnabled = true

@@ -13,6 +13,7 @@
 package gnn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -162,10 +163,7 @@ func (md Model) Reference(g Graph, feats Features) ([][]float64, []int, error) {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		if score[idx[a]] != score[idx[b]] {
-			return score[idx[a]] > score[idx[b]]
-		}
-		return idx[a] < idx[b]
+		return scored{score[idx[a]], idx[a]}.before(scored{score[idx[b]], idx[b]}, g.Nodes)
 	})
 	picked := idx[:md.TopK]
 	pooled := make([][]float64, md.TopK)
@@ -178,35 +176,45 @@ func (md Model) Reference(g Graph, feats Features) ([][]float64, []int, error) {
 	return pooled, picked, nil
 }
 
-// sortPoolOrder sorts node ids by descending score (ties by id) with the
-// energy-optimal 2-D mergesort and returns the order.
+// scored is one SortPooling entry: a node id and its score.
+type scored struct {
+	s float64
+	v int
+}
+
+// before is SortPooling's order over n real nodes: real nodes ahead of
+// the padding slots (ids from n on), then descending score with NaN after
+// every number, then node id. Unlike a bare x.s > y.s it is a strict weak
+// ordering when a score is NaN.
+func (x scored) before(y scored, n int) bool {
+	if (x.v < n) != (y.v < n) {
+		return x.v < n
+	}
+	if c := cmp.Compare(x.s, y.s); c != 0 {
+		return c > 0
+	}
+	return x.v < y.v
+}
+
+// sortPoolOrder sorts node ids in SortPooling's order (scored.before) with
+// the energy-optimal 2-D mergesort and returns the order.
 func sortPoolOrder(m *machine.Machine, score []float64) []int {
 	n := len(score)
 	side := grid.Pow2Side(n)
-	type kv struct {
-		s float64
-		v int
-	}
 	r := grid.Square(machine.Coord{}, side)
 	t := grid.RowMajor(r)
 	for i := 0; i < side*side; i++ {
-		e := kv{s: math.Inf(-1), v: i}
+		e := scored{s: math.Inf(-1), v: i}
 		if i < n {
-			e = kv{s: score[i], v: i}
+			e = scored{s: score[i], v: i}
 		}
 		m.Set(t.At(i), "gnn.s", e)
 	}
-	desc := func(a, b machine.Value) bool {
-		x, y := a.(kv), b.(kv)
-		if x.s != y.s {
-			return x.s > y.s
-		}
-		return x.v < y.v
-	}
+	desc := func(a, b machine.Value) bool { return a.(scored).before(b.(scored), n) }
 	core.MergeSort(m, r, "gnn.s", desc)
 	out := make([]int, n)
 	for i := 0; i < n; i++ {
-		out[i] = m.Get(t.At(i), "gnn.s").(kv).v
+		out[i] = m.Get(t.At(i), "gnn.s").(scored).v
 		m.Del(t.At(i), "gnn.s")
 	}
 	for i := n; i < side*side; i++ {

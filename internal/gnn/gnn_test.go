@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -131,5 +132,25 @@ func TestSortPoolOrderDeterministicTies(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestSortPoolOrdersNaNLast: a NaN score sorts after every number and
+// ahead of the padding slots, in Forward's sort and Reference's alike.
+func TestSortPoolOrdersNaNLast(t *testing.T) {
+	nan := math.NaN()
+	feats := Features{{3, nan, 1, 2, 0, nan, -1, 5}}
+	md := Model{Layers: 0, TopK: 8}
+	want := []int{7, 0, 3, 2, 4, 6, 1, 5}
+	_, picked, err := md.Forward(machine.New(), Graph{Nodes: 8}, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, err := md.Reference(Graph{Nodes: 8}, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(picked, want) || !slices.Equal(ref, want) {
+		t.Errorf("Forward picks %v, Reference %v, want %v", picked, ref, want)
 	}
 }

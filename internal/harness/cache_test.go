@@ -102,12 +102,8 @@ func TestCriticalPathCheckFiresOnMissesOnly(t *testing.T) {
 		m := env.Machine()
 		m.Set(machine.Coord{}, "v", 1.0)
 		m.Send(machine.Coord{}, "v", machine.Coord{Row: 2}, "v")
-		trace.Walk(m.Sink(), func(s trace.Sink) {
-			if cp, ok := s.(*trace.CriticalPath); ok {
-				cp.Event(&trace.Event{Seq: 99, From: trace.Coord{Row: 2}, To: trace.Coord{Row: 4},
-					Dist: 2, DepthBefore: 1, DepthAfter: 2, DistBefore: 2, DistAfter: 4})
-			}
-		})
+		injectEvent(m, trace.Event{Seq: 99, From: trace.Coord{Row: 2}, To: trace.Coord{Row: 4},
+			Dist: 2, DepthBefore: 1, DepthAfter: 2, DistBefore: 2, DistAfter: 4})
 		return One(i)
 	}
 	func() {

@@ -50,11 +50,11 @@ type Env struct {
 	// worker runs it or in what order.
 	Rng *rand.Rand
 
-	r    *Runner
-	s    *Sweep
-	cong bool
-	m    *machine.Machine
-	cp   *trace.CriticalPath
+	r      *Runner
+	s      *Sweep
+	cong   bool
+	m      *machine.Machine
+	replay *clockReplay
 }
 
 // Machine returns the point's simulation machine, reset to a blank grid.
@@ -69,8 +69,8 @@ func (e *Env) Machine() *machine.Machine {
 		}
 		var sinks []trace.Sink
 		if e.r.cpCheck {
-			e.cp = trace.NewCriticalPath()
-			sinks = append(sinks, e.cp)
+			e.replay = &clockReplay{clocks: make(map[trace.Coord]chain)}
+			sinks = append(sinks, e.replay)
 		}
 		if e.r.sink != nil {
 			sinks = append(sinks, e.r.sink)
@@ -81,36 +81,80 @@ func (e *Env) Machine() *machine.Machine {
 		e.m.SetBackend(e.r.backend)
 	} else {
 		// A re-lease within a point ends the previous measurement: verify
-		// its critical paths before Reset discards the metrics.
+		// its replayed clocks before Reset discards the machine's.
 		e.verify()
 	}
 	e.m.Reset()
-	if e.cp != nil {
-		e.cp.Reset()
-	}
 	return e.m
 }
 
-// verify cross-checks the recorded event stream against the machine's
-// metrics when the runner runs WithCriticalPathCheck: the reconstructed
-// depth path must have exactly Depth hops and the distance path must sum to
-// Distance. A mismatch panics (surfaced by Rows as a *PointPanic) — it
-// means the cost accounting and the event stream disagree.
+// clockReplay is the sink behind WithCriticalPathCheck. It replays every
+// PE's causality clock from the event stream, as the largest DepthAfter
+// and DistAfter delivered to the PE, in O(touched PEs) memory; it checks
+// each event against the replay as it arrives and sums the stream's cost
+// counters for verify.
+type clockReplay struct {
+	clocks                        map[trace.Coord]chain
+	messages, energy, depth, dist int64
+}
+
+// chain is a replayed clock: the longest chain delivered to a PE, in hops
+// and in summed distance.
+type chain struct{ depth, dist int64 }
+
+// Event checks e and applies its delivery. A message extends its sender's
+// chain by one hop of Dist, and that chain is at most the sender's
+// replayed clock: a Par round sends from its start-of-round clock and
+// Independent rolls its branches back, so it can be less, never more. A
+// violation panics, which Rows surfaces as a *PointPanic.
+func (c *clockReplay) Event(e *trace.Event) {
+	from := c.clocks[e.From]
+	switch {
+	case e.DepthBefore < 0 || e.DistBefore < 0:
+		panic(fmt.Sprintf("harness: critical-path check: message %d leaves %v with a negative chain (%d hops, distance %d)",
+			e.Seq, e.From, e.DepthBefore, e.DistBefore))
+	case e.DepthAfter != e.DepthBefore+1 || e.DistAfter != e.DistBefore+e.Dist:
+		panic(fmt.Sprintf("harness: critical-path check: message %d takes its chain from (%d hops, distance %d) to (%d, %d) over distance %d",
+			e.Seq, e.DepthBefore, e.DistBefore, e.DepthAfter, e.DistAfter, e.Dist))
+	case e.DepthBefore > from.depth || e.DistBefore > from.dist:
+		panic(fmt.Sprintf("harness: critical-path check: message %d leaves %v on a chain of (%d hops, distance %d), beyond its replayed clock (%d, %d)",
+			e.Seq, e.From, e.DepthBefore, e.DistBefore, from.depth, from.dist))
+	}
+	to := c.clocks[e.To]
+	c.clocks[e.To] = chain{max(to.depth, e.DepthAfter), max(to.dist, e.DistAfter)}
+	c.messages++
+	c.energy += e.Dist
+	c.depth = max(c.depth, e.DepthAfter)
+	c.dist = max(c.dist, e.DistAfter)
+}
+
+// Close is a no-op.
+func (*clockReplay) Close() error { return nil }
+
+// verify ends a measurement when the runner runs WithCriticalPathCheck: the
+// replay's message count, energy, depth and distance must equal the
+// machine's Metrics, and every replayed PE clock its Machine.Clock (after
+// the last Independent join a PE's clock is the maximum over its
+// deliveries). A mismatch panics, as in Event; then the replay is cleared
+// for the next measurement.
 func (e *Env) verify() {
-	if e.cp == nil || e.m == nil {
+	c := e.replay
+	if c == nil {
 		return
 	}
 	met := e.m.Metrics()
-	if dp := e.cp.DepthPath(); int64(len(dp)) != met.Depth {
-		panic(fmt.Sprintf("harness: critical-path check: depth path has %d hops, Depth = %d", len(dp), met.Depth))
+	if c.messages != met.Messages || c.energy != met.Energy || c.depth != met.Depth || c.dist != met.Distance {
+		panic(fmt.Sprintf("harness: critical-path check: the stream replays %d messages, energy %d, depth %d, distance %d; the machine counts %d, %d, %d, %d",
+			c.messages, c.energy, c.depth, c.dist, met.Messages, met.Energy, met.Depth, met.Distance))
 	}
-	var sum int64
-	for _, ev := range e.cp.DistancePath() {
-		sum += ev.Dist
+	for pe, clk := range c.clocks {
+		if depth, dist := e.m.Clock(machine.Coord(pe)); depth != clk.depth || dist != clk.dist {
+			panic(fmt.Sprintf("harness: critical-path check: %v replays clock (%d hops, distance %d), the machine holds (%d, %d)",
+				pe, clk.depth, clk.dist, depth, dist))
+		}
 	}
-	if sum != met.Distance {
-		panic(fmt.Sprintf("harness: critical-path check: distance path sums to %d, Distance = %d", sum, met.Distance))
-	}
+	clear(c.clocks)
+	*c = clockReplay{clocks: c.clocks}
 }
 
 // Measure runs one computation on a freshly reset machine and returns its
@@ -138,7 +182,7 @@ func (e *Env) release() {
 	e.m.SetBackend(machine.Ideal())
 	machines.Put(e.m)
 	e.m = nil
-	e.cp = nil
+	e.replay = nil
 }
 
 // machines recycles simulation machines (reset in place) across every
@@ -265,12 +309,13 @@ func WithBatchSends() Option {
 }
 
 // WithCriticalPathCheck makes every measurement self-verifying: each leased
-// machine records its event stream into a per-point trace.CriticalPath, and
-// at the end of every measurement the reconstructed depth and distance
-// paths are checked against the machine's Depth and Distance metrics. A
-// mismatch panics, which Sweep.Rows surfaces as a *PointPanic. Recording is
-// O(messages) memory per in-flight point — a correctness harness, not a
-// production mode.
+// machine streams its events into a check that replays every PE's clock
+// from them, so each message must extend a chain its sender holds, and at
+// the end of every measurement the replayed counts, maxima and per-PE
+// clocks must equal the machine's Metrics and Clock. A mismatch panics,
+// which Sweep.Rows surfaces as a *PointPanic. The check holds O(touched
+// PEs) state per in-flight point, and its sink keeps the machine off the
+// counting-only path — a correctness harness, not a production mode.
 func WithCriticalPathCheck() Option {
 	return func(r *Runner) { r.cpCheck = true }
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -322,35 +323,61 @@ func TestWithCriticalPathCheckPasses(t *testing.T) {
 	}
 }
 
-// TestWithCriticalPathCheckCatchesTampering: a point that fakes the event
-// stream (an extra event the machine never sent) must fail the check with a
-// PointPanic.
+// injectEvent feeds e to the critical-path check leased with m, as if the
+// machine had sent it.
+func injectEvent(m *machine.Machine, e trace.Event) {
+	trace.Walk(m.Sink(), func(s trace.Sink) {
+		if c, ok := s.(*clockReplay); ok {
+			c.Event(&e)
+		}
+	})
+}
+
+// TestWithCriticalPathCheckCatchesTampering: a point whose event stream
+// disagrees with the machine must fail the check with a PointPanic,
+// whether the stream carries a message the machine never sent, misses one
+// it did send, or starts a chain below zero.
 func TestWithCriticalPathCheckCatchesTampering(t *testing.T) {
-	r := New(7, WithWorkers(1), WithCriticalPathCheck())
-	defer func() {
-		v := recover()
-		pp, ok := v.(*PointPanic)
-		if !ok {
-			t.Fatalf("recovered %T %v, want *PointPanic", v, v)
-		}
-		if pp.Sweep != "cp-tamper" {
-			t.Errorf("panic from sweep %q", pp.Sweep)
-		}
-	}()
-	r.Go("cp-tamper", 1, func(i int, env *Env) []Row {
-		m := env.Machine()
-		m.Set(machine.Coord{}, "v", 1.0)
-		m.Send(machine.Coord{}, "v", machine.Coord{Row: 2}, "v")
-		// Inject a bogus deeper event directly into the sink.
-		trace.Walk(m.Sink(), func(s trace.Sink) {
-			if cp, ok := s.(*trace.CriticalPath); ok {
-				cp.Event(&trace.Event{Seq: 99, From: trace.Coord{Row: 2}, To: trace.Coord{Row: 4},
-					Dist: 2, DepthBefore: 1, DepthAfter: 2, DistBefore: 2, DistAfter: 4})
-			}
+	for _, tc := range []struct {
+		name   string
+		tamper func(m *machine.Machine)
+	}{
+		{"extra deeper event", func(m *machine.Machine) {
+			injectEvent(m, trace.Event{Seq: 99, From: trace.Coord{Row: 2}, To: trace.Coord{Row: 4},
+				Dist: 2, DepthBefore: 1, DepthAfter: 2, DistBefore: 2, DistAfter: 4})
+		}},
+		{"send with the sink detached", func(m *machine.Machine) {
+			s := m.Sink()
+			m.SetSink(nil)
+			m.Send(machine.Coord{Row: 2}, "v", machine.Coord{Row: 5}, "v")
+			m.SetSink(s)
+		}},
+		{"negative DepthBefore", func(m *machine.Machine) {
+			injectEvent(m, trace.Event{Seq: 2, From: trace.Coord{Row: 2}, To: trace.Coord{Row: 4},
+				Dist: 2, DepthBefore: -1, DepthAfter: 0, DistBefore: 2, DistAfter: 4})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				pp, ok := v.(*PointPanic)
+				if !ok {
+					t.Fatalf("recovered %T %v, want *PointPanic", v, v)
+				}
+				if pp.Sweep != "cp-tamper" || !strings.Contains(fmt.Sprint(pp.Value), "critical-path check") {
+					t.Errorf("panic %q from sweep %q, want the critical-path check's from cp-tamper", pp.Value, pp.Sweep)
+				}
+			}()
+			New(7, WithWorkers(1), WithCriticalPathCheck()).Go("cp-tamper", 1, func(i int, env *Env) []Row {
+				m := env.Machine()
+				m.Set(machine.Coord{}, "v", 1.0)
+				m.Send(machine.Coord{}, "v", machine.Coord{Row: 2}, "v")
+				tc.tamper(m)
+				return One(i)
+			}).Rows()
+			t.Fatal("sweep with tampered event stream did not panic")
 		})
-		return One(i)
-	}).Rows()
-	t.Fatal("sweep with tampered event stream did not panic")
+	}
 }
 
 // TestReleasedMachinesDropSinks: machines returned to the pool must not

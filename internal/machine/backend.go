@@ -25,7 +25,7 @@ import (
 //
 // Folding changes costs, never results: register routing, values and
 // message counts are untouched, so answers are byte-identical under every
-// backend (the backend invariance suite pins this). Two distinct virtual
+// backend (TestBackendInvariance pins this). Two distinct virtual
 // PEs may share a physical home; a message between them costs zero energy
 // but still counts as a message and a chain hop. Memory accounting under a
 // finite backend additionally tracks how many registers are co-resident on

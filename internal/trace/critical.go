@@ -20,30 +20,33 @@ import "sort"
 // memory is O(messages). It is not safe for concurrent use — give each
 // machine its own instance, or wrap in Synchronized.
 type CriticalPath struct {
-	events []Event
+	blocks [][]Event // the events in send order, blockLen to a block
+	n      int
 }
+
+// blockLen is the number of events per block. Blocks are allocated whole
+// and never grow, so each event is copied once; a flat slice reallocated
+// as it grew, which doubled the peak memory of a recorded run.
+const blockLen = 1 << 10
 
 // NewCriticalPath returns an empty critical-path recorder.
 func NewCriticalPath() *CriticalPath { return &CriticalPath{} }
 
 // Event records a copy of e.
-func (c *CriticalPath) Event(e *Event) { c.events = append(c.events, *e) }
+func (c *CriticalPath) Event(e *Event) {
+	if c.n%blockLen == 0 {
+		c.blocks = append(c.blocks, make([]Event, 0, blockLen))
+	}
+	last := &c.blocks[len(c.blocks)-1]
+	*last = append(*last, *e)
+	c.n++
+}
 
 // Close is a no-op; the recorded events stay available.
 func (c *CriticalPath) Close() error { return nil }
 
-// Reset discards the recorded events, keeping the backing buffer, so one
-// recorder can observe a sequence of runs on a Reset machine.
-func (c *CriticalPath) Reset() {
-	for i := range c.events {
-		c.events[i].Value = nil // release payload references
-	}
-	c.events = c.events[:0]
-}
-
-// Events returns the recorded events in send order. The slice aliases the
-// recorder's buffer; it is invalidated by Reset.
-func (c *CriticalPath) Events() []Event { return c.events }
+// at returns the i-th recorded event.
+func (c *CriticalPath) at(i int) *Event { return &c.blocks[i/blockLen][i%blockLen] }
 
 // pathKey identifies "a delivery to pe whose chain value was exactly v" —
 // the causality witness a backward step looks up.
@@ -75,16 +78,16 @@ func (c *CriticalPath) DistancePath() []Event {
 // exact-match predecessors (latest earlier delivery to the sender with the
 // required chain value) until the chain value reaches zero, then reverses.
 func (c *CriticalPath) path(chain func(*Event) (before, after int64)) []Event {
-	if len(c.events) == 0 {
+	if c.n == 0 {
 		return nil
 	}
 	// Index: (receiver, chain value after delivery) -> event positions in
 	// ascending order.
-	idx := make(map[pathKey][]int, len(c.events))
+	idx := make(map[pathKey][]int, c.n)
 	end := 0
 	var endAfter int64
-	for i := range c.events {
-		e := &c.events[i]
+	for i := 0; i < c.n; i++ {
+		e := c.at(i)
 		_, after := chain(e)
 		k := pathKey{e.To, after}
 		idx[k] = append(idx[k], i)
@@ -96,7 +99,7 @@ func (c *CriticalPath) path(chain func(*Event) (before, after int64)) []Event {
 	var rev []Event
 	pos := end
 	for {
-		e := &c.events[pos]
+		e := c.at(pos)
 		rev = append(rev, *e)
 		before, _ := chain(e)
 		if before == 0 {

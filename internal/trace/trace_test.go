@@ -149,23 +149,6 @@ func TestCriticalPathRandomized(t *testing.T) {
 	}
 }
 
-func TestCriticalPathReset(t *testing.T) {
-	m := machine.New()
-	cp := trace.NewCriticalPath()
-	m.SetSink(cp)
-	m.Set(machine.Coord{Row: 0, Col: 0}, "v", 1.0)
-	m.Send(machine.Coord{Row: 0, Col: 0}, "v", machine.Coord{Row: 0, Col: 9}, "v")
-	m.Reset()
-	cp.Reset()
-	m.Set(machine.Coord{Row: 0, Col: 0}, "v", 1.0)
-	m.Send(machine.Coord{Row: 0, Col: 0}, "v", machine.Coord{Row: 0, Col: 2}, "v")
-	m.Send(machine.Coord{Row: 0, Col: 2}, "v", machine.Coord{Row: 0, Col: 4}, "v")
-	checkCriticalPath(t, cp, m.Metrics())
-	if len(cp.Events()) != 2 {
-		t.Errorf("recorded %d events after Reset, want 2", len(cp.Events()))
-	}
-}
-
 func TestHeatmapAgainstMachineAccounting(t *testing.T) {
 	m := machine.New()
 	h := trace.NewHeatmap()
@@ -430,8 +413,8 @@ func TestMultiSynchronizedWalk(t *testing.T) {
 	s := trace.Multi(trace.Synchronized(sa), nil, trace.Multi(sb, cp), errSink{boom})
 	e := trace.Event{Seq: 1, From: trace.Coord{Row: 0, Col: 0}, To: trace.Coord{Row: 0, Col: 1}, Dist: 1, DepthAfter: 1, DistAfter: 1}
 	s.Event(&e)
-	if a != 1 || b != 1 || len(cp.Events()) != 1 {
-		t.Errorf("fan-out reached (%d,%d,%d) sinks", a, b, len(cp.Events()))
+	if a != 1 || b != 1 || len(cp.DepthPath()) != 1 {
+		t.Errorf("fan-out reached (%d,%d,%d) sinks", a, b, len(cp.DepthPath()))
 	}
 	if err := s.Close(); err != boom {
 		t.Errorf("Close = %v, want boom", err)
