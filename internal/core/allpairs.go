@@ -7,6 +7,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/order"
+	"repro/internal/zorder"
 )
 
 // apGeometry returns the block side bs (blocks are bs x bs cells, bs^2 >= n
@@ -14,7 +15,7 @@ import (
 // (bg x bg blocks, bg a power of two >= bs so there are >= n blocks and the
 // replication recursion stays balanced).
 func apGeometry(n int) (bs, bg int) {
-	bs = isqrt(n)
+	bs = zorder.FloorSqrt(n)
 	if bs*bs < n {
 		bs++
 	}

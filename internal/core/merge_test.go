@@ -10,6 +10,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/order"
+	"repro/internal/zorder"
 )
 
 // mergeSetup places two sorted arrays in the top and bottom quadrant pair of
@@ -420,7 +421,7 @@ func TestTaggedRanksMatchPairCount(t *testing.T) {
 // ascend along the Z-order track, so every quadrant lies below the next and
 // every merge is one-sided below its top-level split.
 func runMergePin(op, input string, n int, batch bool) (*machine.Machine, grid.Rect) {
-	r := grid.Square(machine.Coord{}, isqrt(n))
+	r := grid.Square(machine.Coord{}, zorder.FloorSqrt(n))
 	rng := rand.New(rand.NewSource(int64(n)))
 	m := machine.New()
 	m.SetBatchSends(batch)

@@ -99,7 +99,7 @@ func pinSelect(n int, ks []int, seed int64) func(*machine.Machine) string {
 		}
 		side := grid.Pow2Side(n)
 		r := grid.Square(machine.Coord{}, side)
-		grid.Place(m, grid.RowMajor(r), "v", vals)
+		grid.Place(m, grid.Slice(grid.RowMajor(r), 0, n), "v", vals, nil)
 		out := ""
 		for _, k := range ks {
 			out += fmt.Sprint(core.Select(m, r, "v", k, order.Float64, rng), " ")

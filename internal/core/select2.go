@@ -77,7 +77,7 @@ func MultiSelect(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, ks []in
 	// Sampling every 2*floor(sqrt n)-th element halves the sample (the
 	// sample's All-Pairs Sort is the dominant cost) at the price of a
 	// twice-wider window, which only feeds the cheap recursion.
-	step := 2 * isqrt(n)
+	step := 2 * zorder.FloorSqrt(n)
 	// Step 1: gather the samples (indices 0, step, 2*step, ... of each
 	// array) into the scratch row-major track, tagged with their source.
 	sTrack := grid.RowMajor(scratch)
@@ -160,7 +160,7 @@ func selectOneRank(m *machine.Machine, tA, tB grid.Track, reg machine.Reg, k, st
 // n total elements: enough for an All-Pairs Sort of the O(sqrt n)-sized
 // sample, and at least the staging-track length of the small case.
 func SelectScratchSide(n int) int {
-	s := isqrt(n) + 3 // sample size upper bound at spacing 2*isqrt(n)
+	s := zorder.FloorSqrt(n) + 3 // sample size upper bound at spacing 2*FloorSqrt(n)
 	need := max(AllPairsScratchSide(s), s)
 	if n <= 160 {
 		// selectSmall's compact bitonic square.
@@ -302,12 +302,4 @@ func boundingRect(t grid.Track) grid.Rect {
 		}
 	}
 	return grid.Rect{Origin: machine.Coord{Row: minR, Col: minC}, H: maxR - minR + 1, W: maxC - minC + 1}
-}
-
-func isqrt(n int) int {
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }

@@ -40,7 +40,7 @@ func backendSortRun(bk machine.Backend, n int, vals []float64, env *harness.Env)
 	m.SetBackend(bk)
 	r := grid.SquareFor(machine.Coord{}, n)
 	tr := grid.RowMajor(r)
-	placeFloats(m, tr, "v", vals, 0)
+	grid.Place(m, tr, "v", vals, 0)
 	core.MergeSort(m, r, "v", order.Float64)
 	met := m.Metrics()
 	h := fnv.New64a()

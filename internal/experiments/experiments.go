@@ -15,9 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/grid"
 	"repro/internal/harness"
-	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -146,18 +144,6 @@ func (p *page) emit(t *analysis.Table) {
 		fmt.Fprint(p.Out, t.CSV())
 	default:
 		fmt.Fprint(p.Out, t.String())
-	}
-}
-
-// placeFloats lays vals out on the given track, padding the remainder of
-// the track with pad.
-func placeFloats(m *machine.Machine, t grid.Track, reg machine.Reg, vals []float64, pad float64) {
-	for i := 0; i < t.Len(); i++ {
-		v := pad
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), reg, v)
 	}
 }
 

@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/graph"
 	"repro/internal/grid"
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/zorder"
 )
 
 // The graph-analytics suite: BFS, connected components, PageRank and
@@ -23,47 +25,6 @@ import (
 // graphPageRankIters fixes the power-iteration count: enough to damp the
 // uniform start visibly, few enough that one point stays sweep-affordable.
 const graphPageRankIters = 4
-
-// meshGraph returns the √n x √n lattice (n must be a perfect square).
-func meshGraph(n int) *graph.Graph {
-	side := intSqrt(n)
-	if side*side != n {
-		panic(fmt.Sprintf("experiments: graph sweep size %d is not a perfect square", n))
-	}
-	return graph.Mesh2D(side)
-}
-
-// intSqrt returns ⌊√n⌋ exactly. The float64 round-trip it replaces is
-// exact only up to 2^52; beyond that a sweep size one off a perfect
-// square could round to a side whose square passes the check.
-func intSqrt(n int) int {
-	if n < 0 {
-		panic(fmt.Sprintf("experiments: intSqrt of negative %d", n))
-	}
-	// The float seed is within ±1 of the true root; correct it exactly in
-	// uint64 so the squares can't overflow for any int input.
-	un := uint64(n)
-	r := uint64(math.Sqrt(float64(n)))
-	for r > 0 && r*r > un {
-		r--
-	}
-	for (r+1)*(r+1) <= un {
-		r++
-	}
-	return int(r)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func equalFloatsTol(a, b []float64, tol float64) bool {
 	if len(a) != len(b) {
@@ -90,12 +51,12 @@ func measureGraph(algo string, g *graph.Graph, family string, n int, env *harnes
 		case "bfs":
 			var levels []int
 			if levels, err = graph.BFS(m, g, 0); err == nil {
-				ok = equalInts(levels, graph.HostBFS(g, 0))
+				ok = slices.Equal(levels, graph.HostBFS(g, 0))
 			}
 		case "cc":
 			var labels []int
 			if labels, _, err = graph.Components(m, g); err == nil {
-				ok = equalInts(labels, graph.HostComponents(g))
+				ok = slices.Equal(labels, graph.HostComponents(g))
 			}
 		case "pagerank":
 			var pr []float64
@@ -135,7 +96,7 @@ func graphSweepSizes(quick bool) map[string][]int {
 // graphPoint measures one algorithm at size n on both families and emits
 // the graph sweep row {n, meshE, meshD, rmatE, rmatD}.
 func graphPoint(algo string, n int, env *harness.Env) []harness.Row {
-	mesh := meshGraph(n)
+	mesh := graph.Mesh2D(zorder.Sqrt(n)) // every graph sweep size is a perfect square
 	rmat := graph.PowerLaw(n, env.Rng)
 	mm := measureGraph(algo, mesh, "mesh", n, env)
 	rm := measureGraph(algo, rmat, "power-law", n, env)
@@ -199,5 +160,5 @@ func renderGraph(p *page) {
 	fmt.Fprintln(p.Out, "CC chains O(log n) rounds of sort+scan+treefix (polylog); PageRank chains SpMV iterations (polylog);")
 	fmt.Fprintln(p.Out, "triangles is one bitonic pass over edges+wedges (log^2 of the record count). Every measurement is")
 	fmt.Fprintln(p.Out, "verified against a host reference inside the sweep, and depth witnesses are re-derived per")
-	fmt.Fprintln(p.Out, "measurement under -cpcheck (trace.CriticalPath).")
+	fmt.Fprintln(p.Out, "measurement under -cpcheck, which replays every PE's clock from the event stream.")
 }

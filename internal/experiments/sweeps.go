@@ -23,7 +23,7 @@ func measureScan(n int, env *harness.Env) machine.Metrics {
 	vals := workload.Array(workload.Random, n, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
 		r := grid.SquareFor(machine.Coord{}, n)
-		placeFloats(m, grid.ZOrder(r), "v", vals, 0)
+		grid.Place(m, grid.ZOrder(r), "v", vals, 0)
 		collectives.Scan(m, r, "v", collectives.Add, 0.0)
 	})
 }
@@ -33,7 +33,7 @@ func measureSort(n int, env *harness.Env) machine.Metrics {
 	vals := workload.Array(workload.Random, n, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
 		r := grid.SquareFor(machine.Coord{}, n)
-		placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+		grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 		core.MergeSort(m, r, "v", order.Float64)
 	})
 }
@@ -43,7 +43,7 @@ func measureSelection(n int, env *harness.Env) machine.Metrics {
 	vals := workload.Array(workload.Random, n, env.Rng)
 	return env.Measure(func(m *machine.Machine) {
 		r := grid.SquareFor(machine.Coord{}, n)
-		placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+		grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 		core.Select(m, r, "v", n/2, order.Float64, env.Rng)
 	})
 }
@@ -139,17 +139,17 @@ func BoundSweeps(quick bool) *harness.Registry {
 			vals := workload.Array(workload.Random, n, env.Rng)
 			z := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.ZOrder(r), "v", vals, 0)
+				grid.Place(m, grid.ZOrder(r), "v", vals, 0)
 				collectives.Scan(m, r, "v", collectives.Add, 0.0)
 			})
 			tr := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
 			})
 			sq := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.ZOrder(r), "v", vals, 0)
+				grid.Place(m, grid.ZOrder(r), "v", vals, 0)
 				collectives.ScanSequential(m, grid.ZOrder(r), "v", collectives.Add)
 			})
 			return harness.One(n, float64(z.Energy), float64(tr.Energy), float64(sq.Energy),
@@ -167,11 +167,11 @@ func BoundSweeps(quick bool) *harness.Registry {
 			side := sides[i]
 			r := grid.Square(machine.Coord{}, side)
 			two := env.Measure(func(m *machine.Machine) {
-				placeFloats(m, grid.RowMajor(r), "v", nil, 1)
+				grid.Place[float64](m, grid.RowMajor(r), "v", nil, 1)
 				collectives.Reduce(m, r, "v", collectives.Add)
 			})
 			tr := env.Measure(func(m *machine.Machine) {
-				placeFloats(m, grid.RowMajor(r), "v", nil, 1)
+				grid.Place[float64](m, grid.RowMajor(r), "v", nil, 1)
 				collectives.ReduceTrack(m, grid.RowMajor(r), "v", collectives.Add)
 			})
 			return harness.One(side*side, float64(two.Energy), float64(tr.Energy), two.Depth, tr.Depth)
@@ -190,17 +190,17 @@ func BoundSweeps(quick bool) *harness.Registry {
 			vals := workload.Array(workload.Random, n, env.Rng)
 			ms := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				core.MergeSort(m, r, "v", order.Float64)
 			})
 			bs := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
 			})
 			sh := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				sortnet.Shearsort(m, r, "v", order.Float64)
 			})
 			return harness.One(n, float64(ms.Energy), float64(bs.Energy), float64(sh.Energy),
@@ -227,12 +227,12 @@ func BoundSweeps(quick bool) *harness.Registry {
 			vals := workload.Array(workload.Random, n, env.Rng)
 			bs := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
 			})
 			sh := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				sortnet.Shearsort(m, r, "v", order.Float64)
 			})
 			return harness.One(n, float64(bs.Energy), float64(sh.Energy),
@@ -260,7 +260,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 				collectives.Broadcast(m, r, "v")
 			})
 			rm := env.Measure(func(m *machine.Machine) {
-				placeFloats(m, grid.RowMajor(r), "v", nil, 1)
+				grid.Place[float64](m, grid.RowMajor(r), "v", nil, 1)
 				collectives.Reduce(m, r, "v", collectives.Add)
 			})
 			bound := collectivesBound(h, w)
@@ -283,13 +283,13 @@ func BoundSweeps(quick bool) *harness.Registry {
 			pe := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
 				tr := grid.RowMajor(r)
-				placeFloats(m, tr, "v", nil, 1)
+				grid.Place[float64](m, tr, "v", nil, 1)
 				core.Permute(m, tr, "v", tr, "v", perm)
 			})
 			vals := workload.Array(workload.Reversed, n, env.Rng)
 			se := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+				grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 				core.MergeSort(m, r, "v", order.Float64)
 			})
 			n15 := float64(n) * sqrtf(n)
@@ -313,7 +313,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 			mm := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
 				tr := grid.RowMajor(r)
-				placeFloats(m, tr, "v", nil, 1)
+				grid.Place[float64](m, tr, "v", nil, 1)
 				core.Permute(m, tr, "v", tr, "v", perm)
 			})
 			return harness.One(n, string(kind), float64(mm.Energy), float64(mm.Energy)/(float64(n)*sqrtf(n)))
@@ -332,7 +332,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 			mm := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
 				tr := grid.RowMajor(r)
-				placeFloats(m, tr, "v", vals, 0)
+				grid.Place(m, tr, "v", vals, 0)
 				scratch := r.RightOf(core.AllPairsScratchSide(n), core.AllPairsScratchSide(n))
 				core.AllPairsSort(m, tr, "v", n, scratch, order.Float64)
 			})
@@ -354,8 +354,8 @@ func BoundSweeps(quick bool) *harness.Registry {
 				rb := grid.Square(machine.Coord{Row: 0, Col: ra.W + 1}, ra.W)
 				tA := grid.Slice(grid.RowMajor(ra), 0, half)
 				tB := grid.Slice(grid.RowMajor(rb), 0, half)
-				placeFloats(m, tA, "v", a, 0)
-				placeFloats(m, tB, "v", b, 0)
+				grid.Place(m, tA, "v", a, 0)
+				grid.Place(m, tB, "v", b, 0)
 				scratch := grid.Square(machine.Coord{Row: ra.H + 1, Col: 0}, core.SelectScratchSide(n))
 				core.SelectInSorted(m, tA, tB, "v", n/2, scratch, order.Float64)
 			})
@@ -377,8 +377,8 @@ func BoundSweeps(quick bool) *harness.Registry {
 				q := r.Quadrants()
 				tA := grid.Slice(grid.RowMajor(q[0]), 0, quarter)
 				tB := grid.Slice(grid.RowMajor(q[1]), 0, quarter)
-				placeFloats(m, tA, "v", a, 0)
-				placeFloats(m, tB, "v", b, 0)
+				grid.Place(m, tA, "v", a, 0)
+				grid.Place(m, tB, "v", b, 0)
 				core.Merge(m, tA, tB, "v", r.TopHalf(), order.Float64)
 			})
 			return harness.One(n, float64(mm.Energy), mm.Depth, mm.Distance)
@@ -470,7 +470,7 @@ func BoundSweeps(quick bool) *harness.Registry {
 			balM := run(tree.Balanced(n))
 			scanM := env.Measure(func(m *machine.Machine) {
 				r := grid.SquareFor(machine.Coord{}, n)
-				placeFloats(m, grid.RowMajor(r), "v", ones, 0)
+				grid.Place(m, grid.RowMajor(r), "v", ones, 0)
 				collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
 			})
 			return harness.One(n, float64(pathM.Energy), float64(balM.Energy), float64(scanM.Energy), pathM.Depth)
@@ -545,11 +545,11 @@ func BoundSweeps(quick bool) *harness.Registry {
 			}
 			algos := []algo{
 				{"zorder-scan", func(m *machine.Machine, r grid.Rect) {
-					placeFloats(m, grid.ZOrder(r), "v", vals, 0)
+					grid.Place(m, grid.ZOrder(r), "v", vals, 0)
 					collectives.Scan(m, r, "v", collectives.Add, 0.0)
 				}},
 				{"tree-scan", func(m *machine.Machine, r grid.Rect) {
-					placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+					grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 					collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
 				}},
 				{"broadcast", func(m *machine.Machine, r grid.Rect) {
@@ -560,11 +560,11 @@ func BoundSweeps(quick bool) *harness.Registry {
 			if n <= 4096 {
 				algos = append(algos,
 					algo{"mergesort", func(m *machine.Machine, r grid.Rect) {
-						placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+						grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 						core.MergeSort(m, r, "v", order.Float64)
 					}},
 					algo{"bitonic", func(m *machine.Machine, r grid.Rect) {
-						placeFloats(m, grid.RowMajor(r), "v", vals, 0)
+						grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 						sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
 					}})
 			}

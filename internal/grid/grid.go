@@ -333,23 +333,28 @@ func (t coordTrack) At(i int) machine.Coord { return t[i] }
 // Coords returns a track over an explicit coordinate list.
 func Coords(cs ...machine.Coord) Track { return coordTrack(cs) }
 
-// Place stores vals[i] into register reg of track PE i. It models initial
-// input placement and is free (no messages).
-func Place(m *machine.Machine, t Track, reg machine.Reg, vals []machine.Value) {
+// Place stores vals[i] into register reg of track PE i and pad into the
+// same register of every later PE of the track. It models initial input
+// placement and is free (no messages).
+func Place[T any](m *machine.Machine, t Track, reg machine.Reg, vals []T, pad T) {
 	if len(vals) > t.Len() {
 		panic(fmt.Sprintf("grid: placing %d values on track of length %d", len(vals), t.Len()))
 	}
-	for i, v := range vals {
+	for i := 0; i < t.Len(); i++ {
+		v := pad
+		if i < len(vals) {
+			v = vals[i]
+		}
 		m.Set(t.At(i), reg, v)
 	}
 }
 
-// Extract reads register reg of the first n track PEs. It models reading the
-// output and is free.
-func Extract(m *machine.Machine, t Track, reg machine.Reg, n int) []machine.Value {
-	out := make([]machine.Value, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.Get(t.At(i), reg)
+// Extract reads register reg of the first n track PEs, each of which must
+// hold a T. It models reading the output and is free.
+func Extract[T any](m *machine.Machine, t Track, reg machine.Reg, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = m.Get(t.At(i), reg).(T)
 	}
 	return out
 }

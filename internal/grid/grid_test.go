@@ -234,15 +234,19 @@ func TestSliceBounds(t *testing.T) {
 func TestPlaceExtract(t *testing.T) {
 	m := machine.New()
 	tr := RowMajor(Square(machine.Coord{}, 4))
-	vals := make([]machine.Value, 16)
+	vals := make([]float64, 13)
 	for i := range vals {
 		vals[i] = float64(i) * 1.5
 	}
-	Place(m, tr, "v", vals)
-	got := Extract(m, tr, "v", 16)
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("Extract[%d] = %v", i, got[i])
+	Place(m, tr, "v", vals, -1)
+	got := Extract[float64](m, tr, "v", 16)
+	for i, v := range got {
+		want := -1.0
+		if i < len(vals) {
+			want = vals[i]
+		}
+		if v != want {
+			t.Fatalf("Extract[%d] = %v, want %v", i, v, want)
 		}
 	}
 	if m.Metrics().Energy != 0 {
@@ -252,20 +256,26 @@ func TestPlaceExtract(t *testing.T) {
 	if m.Has(tr.At(0), "v") {
 		t.Error("Clear left registers live")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("placing more values than the track holds should panic")
+		}
+	}()
+	Place(m, tr, "v", make([]float64, 17), 0)
 }
 
 func TestRoutePermutesInPlace(t *testing.T) {
 	m := machine.New()
 	tr := RowMajor(Square(machine.Coord{}, 4))
 	n := 16
-	vals := make([]machine.Value, n)
+	vals := make([]int, n)
 	for i := range vals {
 		vals[i] = i
 	}
-	Place(m, tr, "v", vals)
+	Place(m, tr, "v", vals, 0)
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	Route(m, tr, "v", tr, "v", perm)
-	got := Extract(m, tr, "v", n)
+	got := Extract[int](m, tr, "v", n)
 	for i, j := range perm {
 		if got[j] != i {
 			t.Fatalf("element %d did not arrive at %d: got %v", i, j, got[j])
@@ -280,7 +290,7 @@ func TestRouteEnergyIsSumOfDistances(t *testing.T) {
 	m := machine.New()
 	r := Square(machine.Coord{}, 2)
 	tr := RowMajor(r)
-	Place(m, tr, "v", []machine.Value{0, 1, 2, 3})
+	Place(m, tr, "v", []int{0, 1, 2, 3}, 0)
 	// Reversal permutation: 0<->3 distance 2, 1<->2 distance 2.
 	Route(m, tr, "v", tr, "v", []int{3, 2, 1, 0})
 	if e := m.Metrics().Energy; e != 8 {

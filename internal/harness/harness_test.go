@@ -324,13 +324,9 @@ func TestWithCriticalPathCheckPasses(t *testing.T) {
 }
 
 // injectEvent feeds e to the critical-path check leased with m, as if the
-// machine had sent it.
+// machine had sent it. The check is the machine's only sink.
 func injectEvent(m *machine.Machine, e trace.Event) {
-	trace.Walk(m.Sink(), func(s trace.Sink) {
-		if c, ok := s.(*clockReplay); ok {
-			c.Event(&e)
-		}
-	})
+	m.Sink().(*clockReplay).Event(&e)
 }
 
 // TestWithCriticalPathCheckCatchesTampering: a point whose event stream

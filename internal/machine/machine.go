@@ -284,12 +284,13 @@ type Machine struct {
 	// the branch first delivered to it, so the branch's clock effects can
 	// be rolled back and merged at the join. indepGens holds the strictly
 	// increasing generation of each active branch (see pe.indepSeen);
-	// journalPool and logPool recycle the buffers.
+	// journalPool recycles the journals. joins is the stack of the
+	// finished branches' end clocks awaiting their join.
 	indepLogs   [][]indepEntry
 	indepGens   []uint64
 	indepGen    uint64
 	journalPool [][]indepEntry
-	logPool     []map[Coord]clock
+	joins       []joinEntry
 
 	// round is Par's reusable buffer of charged, undelivered messages;
 	// parOpen is set while a Par callback runs. parSend is the bound issue
@@ -327,9 +328,12 @@ type Machine struct {
 
 	// sink, when non-nil, receives one trace.Event per message sent; phase
 	// is the current Phase annotation stamped onto emitted events. The
-	// send fast paths pay a nil check only when tracing is disabled.
+	// send fast paths pay a nil check only when tracing is disabled. ev is
+	// the one event every traced message is written into: the Sink
+	// contract forbids keeping the pointer past the call.
 	sink  trace.Sink
 	phase string
+	ev    trace.Event
 }
 
 // New returns an empty machine with unlimited per-PE memory accounting
@@ -562,9 +566,9 @@ func (m *Machine) ResetClocks() {
 // instead of reallocating the grid each time. The memory limit, trace sink,
 // congestion-tracking, shard-count, SetBatchSends and backend settings
 // survive (the phase annotation is cleared); congestion link loads and
-// physical-PE occupancy counts are cleared. Reset also closes a Par round
-// or a Wires kernel that a panic left open, so a recovered machine can be
-// reused.
+// physical-PE occupancy counts are cleared. Reset also closes a Par round,
+// a Wires kernel or Independent branches that a panic left open, so a
+// recovered machine can be reused.
 func (m *Machine) Reset() {
 	for _, t := range m.tiles {
 		if t.touched == 0 {
@@ -593,6 +597,7 @@ func (m *Machine) Reset() {
 	m.phase = ""
 	m.indepLogs = m.indepLogs[:0]
 	m.indepGens = m.indepGens[:0]
+	m.joins = m.joins[:0]
 	clear(m.round)
 	m.round = m.round[:0]
 	m.parOpen = false
@@ -747,7 +752,7 @@ func (m *Machine) observe(from, to Coord, d int64, v Value, c clock) {
 	if m.sink == nil {
 		return
 	}
-	e := trace.Event{
+	m.ev = trace.Event{
 		Seq:         m.acc.messages,
 		From:        trace.Coord(from),
 		To:          trace.Coord(to),
@@ -760,7 +765,7 @@ func (m *Machine) observe(from, to Coord, d int64, v Value, c clock) {
 		EnergyCum:   m.acc.energy,
 		Phase:       m.phase,
 	}
-	m.sink.Event(&e)
+	m.sink.Event(&m.ev)
 }
 
 // deliver applies a charged message with chain c at its receiver: it
@@ -769,7 +774,7 @@ func (m *Machine) observe(from, to Coord, d int64, v Value, c clock) {
 // peak and limit.
 func (m *Machine) deliver(to Coord, c clock, dst regID, v Value) {
 	p := m.peAt(to)
-	m.noteTouch(to, p)
+	m.noteTouch(p)
 	p.clk.merge(c.depth, c.dist)
 	if p.set(dst, v) {
 		m.physGrow(to)
@@ -780,28 +785,20 @@ func (m *Machine) deliver(to Coord, c clock, dst regID, v Value) {
 // indepEntry is one journaled PE of an Independent branch: the PE and the
 // clock it had when the branch first touched it.
 type indepEntry struct {
-	c   Coord
 	p   *pe
 	pre clock
 }
 
-// getLog pops a clock log off the pool (or makes one); putLog clears it and
-// returns it, keeping Independent allocation-free in steady state. The same
-// scheme recycles branch journals.
-func (m *Machine) getLog() map[Coord]clock {
-	if n := len(m.logPool); n > 0 {
-		log := m.logPool[n-1]
-		m.logPool = m.logPool[:n-1]
-		return log
-	}
-	return make(map[Coord]clock)
+// joinEntry is one PE a finished Independent branch touched and the clock
+// the branch left it at, held until the join.
+type joinEntry struct {
+	p   *pe
+	end clock
 }
 
-func (m *Machine) putLog(log map[Coord]clock) {
-	clear(log)
-	m.logPool = append(m.logPool, log)
-}
-
+// getJournal pops a branch journal off the pool (or makes one); putJournal
+// clears it and returns it, keeping Independent allocation-free in steady
+// state.
 func (m *Machine) getJournal() []indepEntry {
 	if n := len(m.journalPool); n > 0 {
 		j := m.journalPool[n-1]
@@ -812,9 +809,7 @@ func (m *Machine) getJournal() []indepEntry {
 }
 
 func (m *Machine) putJournal(j []indepEntry) {
-	for i := range j {
-		j[i] = indepEntry{}
-	}
+	clear(j)
 	m.journalPool = append(m.journalPool, j[:0])
 }
 
@@ -840,7 +835,9 @@ func (m *Machine) Independent(tasks ...func()) {
 		tasks[0]()
 		return
 	}
-	merged := m.getLog()
+	// Each finished branch leaves its end clocks on m.joins above base;
+	// nested forks push and pop their own entries above ours.
+	base := len(m.joins)
 	for _, task := range tasks {
 		m.indepGen++
 		m.indepGens = append(m.indepGens, m.indepGen)
@@ -852,22 +849,22 @@ func (m *Machine) Independent(tasks ...func()) {
 		m.indepGens = m.indepGens[:n-1]
 		for i := range log {
 			e := &log[i]
-			end := merged[e.c]
-			end.merge(e.p.clk.depth, e.p.clk.dist)
-			merged[e.c] = end
+			m.joins = append(m.joins, joinEntry{p: e.p, end: e.p.clk})
 			e.p.clk = e.pre // roll back for the next branch
 		}
 		m.putJournal(log)
 	}
-	for c, clk := range merged {
-		p := m.peAt(c)
-		// The rolled-back clock is what the fork point left behind; the
-		// join raises it to the branch maxima. Record the touch in any
-		// enclosing branch so nested forks roll back correctly.
-		m.noteTouch(c, p)
-		p.clk.merge(clk.depth, clk.dist)
+	// The rolled-back clocks are what the fork point left behind; the join
+	// raises each to the maximum over the branches, in any order. Record
+	// the touch in any enclosing branch so nested forks roll back
+	// correctly.
+	joins := m.joins[base:]
+	for i := range joins {
+		j := &joins[i]
+		m.noteTouch(j.p)
+		j.p.clk.merge(j.end.depth, j.end.dist)
 	}
-	m.putLog(merged)
+	m.joins = m.joins[:base]
 }
 
 // noteTouch records PE p's current clock in every active Independent branch
@@ -875,13 +872,13 @@ func (m *Machine) Independent(tasks ...func()) {
 // mutation. Branch generations increase down the stack and a PE is always
 // journaled into a contiguous suffix of it, so p.indepSeen — the innermost
 // generation that has seen p — makes the already-journaled case one compare.
-func (m *Machine) noteTouch(c Coord, p *pe) {
+func (m *Machine) noteTouch(p *pe) {
 	n := len(m.indepGens)
 	if n == 0 || p.indepSeen >= m.indepGens[n-1] {
 		return
 	}
 	for i := n - 1; i >= 0 && m.indepGens[i] > p.indepSeen; i-- {
-		m.indepLogs[i] = append(m.indepLogs[i], indepEntry{c: c, p: p, pre: p.clk})
+		m.indepLogs[i] = append(m.indepLogs[i], indepEntry{p: p, pre: p.clk})
 	}
 	p.indepSeen = m.indepGens[n-1]
 }

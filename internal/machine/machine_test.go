@@ -265,6 +265,23 @@ func TestSinkSeesMessages(t *testing.T) {
 	}
 }
 
+// TestTracedSendAllocatesNothing: every traced message is written into the
+// machine's one event, so streaming sends to a sink allocates nothing.
+func TestTracedSendAllocatesNothing(t *testing.T) {
+	m := New()
+	var energy int64
+	m.SetSink(trace.SinkFunc(func(e *trace.Event) { energy += e.Dist }))
+	var v Value = 1.0
+	from, to := Coord{0, 0}, Coord{0, 3}
+	m.SendValue(from, to, "v", v) // the first delivery grows the register file
+	if a := testing.AllocsPerRun(100, func() { m.SendValue(from, to, "v", v) }); a != 0 {
+		t.Errorf("traced SendValue allocates %v times per call, want 0", a)
+	}
+	if mm := m.Metrics(); energy != mm.Energy {
+		t.Errorf("sink saw energy %d, metrics report %d", energy, mm.Energy)
+	}
+}
+
 func TestSinkParSnapshotDepths(t *testing.T) {
 	m := New()
 	var events []trace.Event

@@ -9,12 +9,14 @@ import (
 )
 
 // TestResetAfterRoundPanic: a panic inside a Par callback leaves the round
-// open, and a panic inside a counting-only collective (here a Scan whose op
-// fails) leaves the machine's Wires kernel open. Sweep harnesses recover a
-// failed point's panic, Reset the machine and return it to a shared pool,
-// so Reset must close both: after it, a Par round, a Broadcast and a
-// counting Scan must give the metrics of a fresh machine, on the sequential
-// and the sharded engine.
+// open, a panic inside a counting-only collective (here a Scan whose op
+// fails) leaves the machine's Wires kernel open, and a panic inside an
+// Independent branch leaves the fork's journals and the finished branches'
+// end clocks behind. Sweep harnesses recover a failed point's panic, Reset
+// the machine and return it to a shared pool, so Reset must close all
+// three: after it, a Par round, a fork, a Broadcast and a counting Scan
+// must give the metrics of a fresh machine, on the sequential and the
+// sharded engine.
 func TestResetAfterRoundPanic(t *testing.T) {
 	scanRegion := grid.Square(machine.Coord{Row: 10}, 4)
 	placeScan := func(m *machine.Machine) {
@@ -28,6 +30,10 @@ func TestResetAfterRoundPanic(t *testing.T) {
 			send(machine.Coord{}, machine.Coord{Row: 2, Col: 3}, "w", 1.0)
 			send(machine.Coord{}, machine.Coord{Row: 4, Col: 1}, "w", 2.0)
 		})
+		m.Independent(
+			func() { m.Send(machine.Coord{Row: 2, Col: 3}, "w", machine.Coord{Row: 2, Col: 5}, "x") },
+			func() { m.Send(machine.Coord{Row: 4, Col: 1}, "w", machine.Coord{Row: 2, Col: 5}, "y") },
+		)
 		collectives.Broadcast(m, grid.Square(machine.Coord{}, 8), "v")
 		placeScan(m)
 		collectives.Scan(m, scanRegion, "s", collectives.Add, 0.0)
@@ -46,6 +52,13 @@ func TestResetAfterRoundPanic(t *testing.T) {
 				send(machine.Coord{}, machine.Coord{Col: 1}, "v", 1.0)
 				panic("point failed")
 			})
+		},
+		"Independent branch": func(m *machine.Machine) {
+			m.Set(machine.Coord{}, "v", 1.0)
+			m.Independent(
+				func() { m.Send(machine.Coord{}, "v", machine.Coord{Col: 3}, "v") },
+				func() { panic("point failed") },
+			)
 		},
 		"counting Scan op": func(m *machine.Machine) {
 			placeScan(m)

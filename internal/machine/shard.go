@@ -57,7 +57,6 @@ func (m *Machine) Shards() int {
 // generation that had last journaled it. After the join the entry is
 // distributed into the journals of every active branch newer than seen.
 type shardTouch struct {
-	c    Coord
 	p    *pe
 	pre  clock
 	seen uint64
@@ -165,7 +164,7 @@ func (m *Machine) deliverSharded(msgs []roundMsg) {
 		for w := 0; w < k; w++ {
 			for _, e := range s.journals[w] {
 				for i := len(m.indepGens) - 1; i >= 0 && m.indepGens[i] > e.seen; i-- {
-					m.indepLogs[i] = append(m.indepLogs[i], indepEntry{c: e.c, p: e.p, pre: e.pre})
+					m.indepLogs[i] = append(m.indepLogs[i], indepEntry{p: e.p, pre: e.pre})
 				}
 			}
 			s.journals[w] = s.journals[w][:0]
@@ -203,7 +202,7 @@ func (m *Machine) deliverShard(msgs []roundMsg, idxs []int32, top uint64, w int)
 		g := &msgs[i]
 		p := s.dsts[i]
 		if top != 0 && p.indepSeen < top {
-			journal = append(journal, shardTouch{c: g.to, p: p, pre: p.clk, seen: p.indepSeen})
+			journal = append(journal, shardTouch{p: p, pre: p.clk, seen: p.indepSeen})
 			p.indepSeen = top
 		}
 		p.clk.merge(g.clk.depth, g.clk.dist)

@@ -66,7 +66,7 @@ func (m *Machine) BindWires(cs []Coord) *Wires {
 			panic(fmt.Sprintf("machine: BindWires: %v is bound to two wires", c))
 		}
 		p.wireSeen = stamp
-		m.noteTouch(c, p)
+		m.noteTouch(p)
 		w.pes[i], w.clk[i] = p, p.clk
 		if m.bk.Finite() {
 			w.homes[i] = m.bk.Fold(c)

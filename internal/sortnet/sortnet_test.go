@@ -389,7 +389,7 @@ func TestCountingPathMatchesValuePathWithTies(t *testing.T) {
 		if cong {
 			m.EnableCongestionTracking()
 		}
-		grid.Place(m, grid.RowMajor(r), "v", in)
+		grid.Place(m, grid.RowMajor(r), "v", in, nil)
 		network(m, r, less)
 		met := m.Metrics()
 		met.PeakMemory = 0

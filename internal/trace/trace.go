@@ -150,22 +150,3 @@ func (y *synchronized) Close() error {
 	defer y.mu.Unlock()
 	return y.s.Close()
 }
-
-// Walk calls fn for s and, recursively, for every sink wrapped inside the
-// package's combinators (Multi fan-outs and Synchronized wrappers). Use it
-// to locate a concrete sink — e.g. the CriticalPath inside a composed
-// pipeline — after a run.
-func Walk(s Sink, fn func(Sink)) {
-	if s == nil {
-		return
-	}
-	fn(s)
-	switch t := s.(type) {
-	case *multi:
-		for _, inner := range t.sinks {
-			Walk(inner, fn)
-		}
-	case *synchronized:
-		Walk(t.s, fn)
-	}
-}

@@ -419,15 +419,6 @@ func TestMultiSynchronizedWalk(t *testing.T) {
 	if err := s.Close(); err != boom {
 		t.Errorf("Close = %v, want boom", err)
 	}
-	var found *trace.CriticalPath
-	trace.Walk(s, func(inner trace.Sink) {
-		if c, ok := inner.(*trace.CriticalPath); ok {
-			found = c
-		}
-	})
-	if found != cp {
-		t.Error("Walk did not find the nested CriticalPath")
-	}
 	if trace.Multi() != nil || trace.Multi(nil) != nil || trace.Synchronized(nil) != nil {
 		t.Error("empty combinators should collapse to nil")
 	}

@@ -313,7 +313,7 @@ func scanWorkload() Workload {
 		Gen:        func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
 		Run: func(m *machine.Machine, n int, input any, mp mapping.Mapping) {
 			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, mapped.ScanTrack(mp, r), input.([]float64), 0)
+			grid.Place(m, mapped.ScanTrack(mp, r), "v", input.([]float64), 0)
 			mapped.Scan(m, r, "v", collectives.Add, 0.0, mp)
 		},
 	}
@@ -345,7 +345,7 @@ func reduceWorkload() Workload {
 		Gen:        func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
 		Run: func(m *machine.Machine, n int, input any, mp mapping.Mapping) {
 			r := mapped.ReduceRegion(n, mp)
-			placeFloats(m, grid.RowMajor(r), input.([]float64), 0)
+			grid.Place(m, grid.RowMajor(r), "v", input.([]float64), 0)
 			mapped.Reduce(m, r, "v", collectives.Add, mp)
 		},
 	}
@@ -375,7 +375,7 @@ func sortWorkload() Workload {
 		Gen:        func(rng *rand.Rand, n int) any { return workload.Array(workload.Random, n, rng) },
 		Run: func(m *machine.Machine, n int, input any, mp mapping.Mapping) {
 			r := grid.SquareFor(machine.Coord{}, n)
-			placeFloats(m, mapped.SortTrack(mp, r), input.([]float64), math.Inf(1))
+			grid.Place(m, mapped.SortTrack(mp, r), "v", input.([]float64), math.Inf(1))
 			mapped.Sort(m, r, "v", order.Float64, mp)
 		},
 	}
@@ -417,17 +417,6 @@ func spmvWorkload() Workload {
 				panic(err)
 			}
 		},
-	}
-}
-
-// placeFloats lays vals out along t, padding the tail with pad.
-func placeFloats(m *machine.Machine, t grid.Track, vals []float64, pad float64) {
-	for i := 0; i < t.Len(); i++ {
-		v := pad
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
 	}
 }
 

@@ -14,7 +14,10 @@
 // the row bit is the more significant bit of each pair.
 package zorder
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Encode returns the Morton index of the cell at (row, col).
 // Row and col must be non-negative and fit in 32 bits.
@@ -127,17 +130,30 @@ func NextPow2(x int) int {
 	return p
 }
 
+// FloorSqrt returns the floor of the square root of n >= 0, exactly: the
+// float64 estimate is within one of the true root and is corrected in
+// uint64, so the squares cannot overflow and inputs beyond 2^52, where the
+// float round-trip alone loses integer precision, stay exact.
+func FloorSqrt(n int) int {
+	if n < 0 {
+		panic("zorder: FloorSqrt of negative value")
+	}
+	un := uint64(n)
+	r := uint64(math.Sqrt(float64(n)))
+	for r > 0 && r*r > un {
+		r--
+	}
+	for (r+1)*(r+1) <= un {
+		r++
+	}
+	return int(r)
+}
+
 // Sqrt returns the integer square root of a perfect square n, panicking if n
 // is not a perfect square. Grid algorithms use it to recover the side length
 // of a subgrid holding n elements.
 func Sqrt(n int) int {
-	if n < 0 {
-		panic("zorder: Sqrt of negative value")
-	}
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
-	}
+	r := FloorSqrt(n)
 	if r*r != n {
 		panic("zorder: Sqrt of non-square value")
 	}

@@ -173,3 +173,31 @@ func TestSqrt(t *testing.T) {
 	}()
 	Sqrt(8)
 }
+
+func TestFloorSqrtExact(t *testing.T) {
+	// Exhaustive around small perfect squares plus the large values where
+	// a float64 round-trip alone loses integer precision.
+	for n := 0; n <= 1<<12; n++ {
+		r := FloorSqrt(n)
+		if r*r > n || (r+1)*(r+1) <= n {
+			t.Fatalf("FloorSqrt(%d) = %d", n, r)
+		}
+	}
+	for _, side := range []int{1 << 20, 1<<26 + 3, 1 << 30, 3037000499} {
+		n := side * side
+		if n/side != side {
+			continue // overflowed int on this platform
+		}
+		if got := FloorSqrt(n); got != side {
+			t.Errorf("FloorSqrt(%d) = %d, want %d", n, got, side)
+		}
+		if got := FloorSqrt(n - 1); got != side-1 {
+			t.Errorf("FloorSqrt(%d) = %d, want %d", n-1, got, side-1)
+		}
+		if n+1 > 0 {
+			if got := FloorSqrt(n + 1); got != side {
+				t.Errorf("FloorSqrt(%d) = %d, want %d", n+1, got, side)
+			}
+		}
+	}
+}

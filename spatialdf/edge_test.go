@@ -187,7 +187,7 @@ func TestWithCongestionReportsMaxLinkLoad(t *testing.T) {
 	}
 	// Tracking is observational: all cost metrics stay byte-identical.
 	tracked.MaxLinkLoad = 0
-	if !tracked.Equal(plain) {
+	if tracked != plain {
 		t.Errorf("congestion tracking changed costs: %v vs %v", tracked, plain)
 	}
 }
@@ -227,7 +227,7 @@ func TestWithSeedDeterminism(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if v1 != v2 || !m1.Equal(m2) {
+	if v1 != v2 || m1 != m2 {
 		t.Errorf("same seed, different runs: (%v, %v) vs (%v, %v)", v1, m1, v2, m2)
 	}
 	// A different seed changes the random pivots (so usually the costs) but

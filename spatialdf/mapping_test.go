@@ -94,7 +94,7 @@ func TestWithMappingChangesCosts(t *testing.T) {
 	paper := Mapping{Track: TrackZOrder, Arity: 4, Tile: mapping.TileSquare, Sort: mapping.SortMerge}
 	_, base := Reduce(vals, WithMapping(DefaultMapping()))
 	_, tuned := Reduce(vals, WithMapping(paper))
-	if base.Equal(tuned) {
+	if base == tuned {
 		t.Fatalf("baseline and paper mapping cost the same: %v", base)
 	}
 	if tuned.Energy >= base.Energy {
@@ -108,7 +108,7 @@ func TestWithMappingDefaultUntouched(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	_, plain := Scan(vals)
 	_, viaOption := Scan(vals, WithMapping(Mapping{Track: TrackZOrder, Arity: 4, Tile: mapping.TileSquare, Sort: mapping.SortMerge}))
-	if !plain.Equal(viaOption) {
+	if plain != viaOption {
 		t.Errorf("paper mapping via option differs from default path: %v vs %v", plain, viaOption)
 	}
 }

@@ -18,10 +18,21 @@ type Coord = trace.Coord
 type Event = trace.Event
 
 // TraceSink consumes the event stream of an operation's machine. The
-// built-in sinks (trace.CriticalPath, trace.Heatmap, trace.Counters,
+// built-in sinks (CriticalPath, trace.Heatmap, trace.Counters,
 // trace.NewChromeSink) and combinators (trace.Multi, trace.Synchronized)
 // all satisfy it.
 type TraceSink = trace.Sink
+
+// CriticalPath is a sink that records an operation's event stream and
+// reconstructs the chains of dependent messages that realized its Depth
+// and Distance: after the call, DepthPath has Depth events, each departing
+// from the PE the previous one reached, and the Dist fields of
+// DistancePath sum to Distance. Attach a fresh one per operation with
+// WithTraceSink; it holds every message the operation sends.
+type CriticalPath = trace.CriticalPath
+
+// NewCriticalPath returns an empty critical-path recorder.
+func NewCriticalPath() *CriticalPath { return trace.NewCriticalPath() }
 
 // Option configures the simulated machine an operation runs on. Every
 // facade operation accepts options; options meaningless to an operation
@@ -120,12 +131,11 @@ func WithShards(k int) Option {
 // whose communication is data-oblivious (SortBitonic, SortMesh, the scans
 // Scan, ScanWith, ScanTree and SegmentedScan, and the sorting networks,
 // scans and predecessor counts inside Sort, SortIndices, Select, Median
-// and SpMV) keep payloads host-side and skip the register traffic. Energy, Depth, Distance and
-// Messages are unchanged; PeakMemory reflects only the registers actually
-// materialized, and Metrics.CriticalPath is unavailable (the implicit
-// critical-path recorder is a trace sink, which the fast path forgoes).
-// Combining it with WithTraceSink or WithMemoryLimit is an error, reported
-// per the Option contract.
+// and SpMV) keep payloads host-side and skip the register traffic. Energy,
+// Depth, Distance and Messages are unchanged; PeakMemory reflects only the
+// registers actually materialized. The fast path carries no sink, so
+// combining it with WithTraceSink (a CriticalPath recorder included) or
+// WithMemoryLimit is an error, reported per the Option contract.
 func WithBatchSends() Option {
 	return func(c *config) { c.batchSends = true }
 }
@@ -170,12 +180,10 @@ func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// newMachine constructs the simulated machine an operation runs on. Every
-// machine gets a critical-path recorder ahead of the caller's sinks so
-// Metrics.CriticalPath is available on demand — except under WithBatchSends,
-// whose counting-only fast path requires a sink-free machine. An invalid
-// option combination panics here with the config error; error-returning
-// operations recover it (see capture).
+// newMachine constructs the simulated machine an operation runs on. It
+// carries the caller's sinks and no other. An invalid option combination
+// panics here with the config error; error-returning operations recover it
+// (see captureMemLimit).
 func (c config) newMachine() *machine.Machine {
 	if c.err != nil {
 		panic(optionError{c.err})
@@ -189,12 +197,8 @@ func (c config) newMachine() *machine.Machine {
 	if c.congestion {
 		m.EnableCongestionTracking()
 	}
-	if c.batchSends {
-		m.SetBatchSends(true)
-	} else {
-		all := append([]trace.Sink{trace.NewCriticalPath()}, c.sinks...)
-		m.SetSink(trace.Multi(all...))
-	}
+	m.SetBatchSends(c.batchSends)
+	m.SetSink(trace.Multi(c.sinks...))
 	if c.shards > 1 {
 		m.SetShards(c.shards)
 	}

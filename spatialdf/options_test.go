@@ -28,7 +28,7 @@ func TestShardsByteIdenticalFacade(t *testing.T) {
 		base, baseMet := run()
 		for _, k := range []int{2, 4, runtime.NumCPU()} {
 			out, met := run(WithShards(k))
-			if !met.Equal(baseMet) {
+			if met != baseMet {
 				t.Errorf("%s WithShards(%d): metrics %v, want %v", name, k, met, baseMet)
 			}
 			for i := range out {
@@ -90,7 +90,7 @@ func TestShardsComposeWithCongestion(t *testing.T) {
 		t.Fatal("congestion tracking reported no load")
 	}
 	_, got := Sort(vals, WithCongestion(), WithShards(4))
-	if !got.Equal(base) {
+	if got != base {
 		t.Errorf("WithCongestion+WithShards(4): %v, want %v", got, base)
 	}
 }
@@ -136,15 +136,18 @@ func optionErrString(r any) string {
 }
 
 // TestBatchSendsDropsCriticalPath documents the WithBatchSends trade-off:
-// no sink means no reconstructed critical path.
+// a critical path needs a recorder, which is a sink, which the counting
+// fast path forgoes.
 func TestBatchSendsDropsCriticalPath(t *testing.T) {
 	vals := []float64{4, 3, 2, 1}
-	_, met := SortBitonic(vals)
-	if len(met.CriticalPath()) == 0 {
-		t.Fatal("default run should reconstruct a critical path")
+	cp := NewCriticalPath()
+	if _, met := SortBitonic(vals, WithTraceSink(cp)); int64(len(cp.DepthPath())) != met.Depth || met.Depth == 0 {
+		t.Fatalf("recorded a %d-hop path for depth %d", len(cp.DepthPath()), met.Depth)
 	}
-	_, met = SortBitonic(vals, WithBatchSends())
-	if met.CriticalPath() != nil {
-		t.Error("WithBatchSends run unexpectedly carries a critical path")
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(optionErrString(r), "WithBatchSends is incompatible with WithTraceSink") {
+			t.Errorf("WithBatchSends with a recorder: panic %v", r)
+		}
+	}()
+	SortBitonic(vals, WithBatchSends(), WithTraceSink(NewCriticalPath()))
 }

@@ -19,9 +19,10 @@
 // WithSeed (randomized operations). Operations validate their inputs and return
 // errors — they do not panic on user data.
 //
-// Every operation also records its own event stream, so the returned
-// Metrics can reconstruct the chain of messages that realized the Depth
-// and Distance costs: see Metrics.CriticalPath.
+// An operation records nothing it was not asked for. To see the chain of
+// messages that realized the Depth and Distance costs, attach a
+// CriticalPath recorder with WithTraceSink and read its DepthPath and
+// DistancePath after the call.
 //
 // Inputs of arbitrary length are padded internally to the power-of-four
 // sizes the model assumes; padding never changes results.
@@ -41,7 +42,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/sortnet"
 	"repro/internal/spmv"
-	"repro/internal/trace"
 )
 
 // Metrics are the Spatial Computer Model costs of one operation.
@@ -65,16 +65,11 @@ type Metrics struct {
 	// complement of Energy (the total load). Populated only when the
 	// operation ran WithCongestion; zero otherwise.
 	MaxLinkLoad int64
-
-	// critical is the recorder that observed the operation's event stream;
-	// CriticalPath and DistanceCriticalPath reconstruct chains from it on
-	// demand. Nil for zero-valued or Sequential-composed Metrics.
-	critical *trace.CriticalPath
 }
 
 func fromMachine(m *machine.Machine) Metrics {
 	mm := m.Metrics()
-	met := Metrics{
+	return Metrics{
 		Energy:      mm.Energy,
 		Depth:       mm.Depth,
 		Distance:    mm.Distance,
@@ -82,44 +77,6 @@ func fromMachine(m *machine.Machine) Metrics {
 		PeakMemory:  mm.PeakMemory,
 		MaxLinkLoad: m.MaxCongestion(),
 	}
-	trace.Walk(m.Sink(), func(s trace.Sink) {
-		if cp, ok := s.(*trace.CriticalPath); ok && met.critical == nil {
-			met.critical = cp
-		}
-	})
-	return met
-}
-
-// CriticalPath returns the chain of dependent messages that realizes the
-// Depth metric: len(CriticalPath()) == Depth, every event departs from the
-// PE the previous one reached, and the chain-depth annotations run 1..Depth.
-// The chain is reconstructed on demand from the operation's recorded event
-// stream. It is nil for zero-valued Metrics and for Metrics composed with
-// Sequential (the composition is hypothetical — no single run realized it).
-func (m Metrics) CriticalPath() []Event {
-	if m.critical == nil {
-		return nil
-	}
-	return m.critical.DepthPath()
-}
-
-// DistanceCriticalPath returns the chain of dependent messages that
-// realizes the Distance metric: the events' Dist fields sum to Distance.
-// Nil under the same conditions as CriticalPath.
-func (m Metrics) DistanceCriticalPath() []Event {
-	if m.critical == nil {
-		return nil
-	}
-	return m.critical.DistancePath()
-}
-
-// Equal reports whether two Metrics carry the same costs. Use it instead
-// of ==: Metrics values also hold an internal reference to the run's trace
-// recorder, which differs between runs even when every cost agrees.
-func (m Metrics) Equal(o Metrics) bool {
-	return m.Energy == o.Energy && m.Depth == o.Depth &&
-		m.Distance == o.Distance && m.Messages == o.Messages &&
-		m.PeakMemory == o.PeakMemory && m.MaxLinkLoad == o.MaxLinkLoad
 }
 
 func (m Metrics) String() string {
@@ -175,27 +132,13 @@ func Scan(vals []float64, opts ...Option) ([]float64, Metrics) {
 // ScanWith is Scan for an arbitrary associative operator with the given
 // identity element.
 func ScanWith(op func(a, b float64) float64, identity float64, vals []float64, opts ...Option) ([]float64, Metrics) {
-	if len(vals) == 0 {
-		return nil, Metrics{}
-	}
 	cfg := buildConfig(opts)
-	m, r := gridFor(len(vals), cfg, "scan")
-	t := mapped.ScanTrack(cfg.mapping, r)
-	for i := 0; i < r.Size(); i++ {
-		if i < len(vals) {
-			m.Set(t.At(i), "v", vals[i])
-		} else {
-			m.Set(t.At(i), "v", identity)
-		}
-	}
-	mapped.Scan(m, r, "v", func(a, b machine.Value) machine.Value {
-		return op(a.(float64), b.(float64))
-	}, identity, cfg.mapping)
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m)
+	track := func(r grid.Rect) grid.Track { return mapped.ScanTrack(cfg.mapping, r) }
+	return padded(vals, identity, cfg, "scan", track, func(m *machine.Machine, r grid.Rect) {
+		mapped.Scan(m, r, "v", func(a, b machine.Value) machine.Value {
+			return op(a.(float64), b.(float64))
+		}, identity, cfg.mapping)
+	})
 }
 
 // SegmentedScan computes inclusive per-segment prefix sums, where heads[i]
@@ -211,67 +154,26 @@ func SegmentedScan(vals []float64, heads []bool, opts ...Option) (out []float64,
 	defer captureMemLimit(&err)
 	m, r := gridFor(len(vals), buildConfig(opts), "segmented-scan")
 	t := grid.ZOrder(r)
-	for i := 0; i < r.Size(); i++ {
-		if i < len(vals) {
-			m.Set(t.At(i), "v", vals[i])
-			m.Set(t.At(i), "h", heads[i])
-		} else {
-			m.Set(t.At(i), "v", 0.0)
-			m.Set(t.At(i), "h", true)
-		}
-	}
+	grid.Place(m, t, "v", vals, 0)
+	grid.Place(m, t, "h", heads, true)
 	collectives.SegmentedScan(m, r, "v", "h", collectives.Add, 0.0)
-	out = make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m), nil
+	return grid.Extract[float64](m, t, "v", len(vals)), fromMachine(m), nil
 }
 
 // ScanTree computes the same prefix sums with the binary-tree scan over a
 // row-major layout — the Theta(n log n)-energy baseline of Section IV-C.
 func ScanTree(vals []float64, opts ...Option) ([]float64, Metrics) {
-	if len(vals) == 0 {
-		return nil, Metrics{}
-	}
-	m, r := gridFor(len(vals), buildConfig(opts), "scan-tree")
-	t := grid.RowMajor(r)
-	for i := 0; i < r.Size(); i++ {
-		v := 0.0
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
-	collectives.ScanTrack(m, t, "v", collectives.Add, 0.0)
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m)
+	return padded(vals, 0, buildConfig(opts), "scan-tree", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
+		collectives.ScanTrack(m, grid.RowMajor(r), "v", collectives.Add, 0.0)
+	})
 }
 
 // ScanSequential computes the prefix sums with a sequential relay chain in
 // Z-order: Theta(n) energy but Theta(n) depth (no parallelism).
 func ScanSequential(vals []float64, opts ...Option) ([]float64, Metrics) {
-	if len(vals) == 0 {
-		return nil, Metrics{}
-	}
-	m, r := gridFor(len(vals), buildConfig(opts), "scan-seq")
-	t := grid.ZOrder(r)
-	for i := 0; i < r.Size(); i++ {
-		v := 0.0
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
-	collectives.ScanSequential(m, t, "v", collectives.Add)
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m)
+	return padded(vals, 0, buildConfig(opts), "scan-seq", grid.ZOrder, func(m *machine.Machine, r grid.Rect) {
+		collectives.ScanSequential(m, grid.ZOrder(r), "v", collectives.Add)
+	})
 }
 
 // Reduce returns the sum of vals with the multicast-free reduce of
@@ -284,14 +186,7 @@ func Reduce(vals []float64, opts ...Option) (float64, Metrics) {
 	m := cfg.newMachine()
 	m.Phase("reduce")
 	r := mapped.ReduceRegion(len(vals), cfg.mapping)
-	t := grid.RowMajor(r)
-	for i := 0; i < r.Size(); i++ {
-		v := 0.0
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
+	grid.Place(m, grid.RowMajor(r), "v", vals, 0)
 	mapped.Reduce(m, r, "v", collectives.Add, cfg.mapping)
 	return m.Get(r.Origin, "v").(float64), fromMachine(m)
 }
@@ -312,7 +207,7 @@ func BroadcastCost(n int, opts ...Option) Metrics {
 func Sort(vals []float64, opts ...Option) ([]float64, Metrics) {
 	cfg := buildConfig(opts)
 	track := func(r grid.Rect) grid.Track { return mapped.SortTrack(cfg.mapping, r) }
-	return sortPadded(vals, cfg, "sort/"+string(cfg.mapping.Sort), track, func(m *machine.Machine, r grid.Rect) {
+	return padded(vals, math.Inf(1), cfg, "sort/"+string(cfg.mapping.Sort), track, func(m *machine.Machine, r grid.Rect) {
 		mapped.Sort(m, r, "v", order.Float64, cfg.mapping)
 	})
 }
@@ -320,7 +215,7 @@ func Sort(vals []float64, opts ...Option) ([]float64, Metrics) {
 // SortBitonic sorts with the bitonic network on a row-major layout — the
 // Theta(n^{3/2} log n)-energy baseline of Lemma V.4.
 func SortBitonic(vals []float64, opts ...Option) ([]float64, Metrics) {
-	return sortPadded(vals, buildConfig(opts), "sort/bitonic", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
+	return padded(vals, math.Inf(1), buildConfig(opts), "sort/bitonic", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
 		sortnet.Sort(m, grid.RowMajor(r), "v", r.Size(), order.Float64)
 	})
 }
@@ -328,32 +223,22 @@ func SortBitonic(vals []float64, opts ...Option) ([]float64, Metrics) {
 // SortMesh sorts with shearsort, a classic mesh-connected-computer
 // algorithm with polynomial Theta(sqrt n log n) depth (Section II-B).
 func SortMesh(vals []float64, opts ...Option) ([]float64, Metrics) {
-	return sortPadded(vals, buildConfig(opts), "sort/shearsort", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
+	return padded(vals, math.Inf(1), buildConfig(opts), "sort/shearsort", grid.RowMajor, func(m *machine.Machine, r grid.Rect) {
 		sortnet.Shearsort(m, r, "v", order.Float64)
 	})
 }
 
-// sortPadded lays vals out along track(r), padded with +Inf, runs the sort
-// and reads the sorted values back along the same track.
-func sortPadded(vals []float64, cfg config, phase string, track func(grid.Rect) grid.Track, run func(*machine.Machine, grid.Rect)) ([]float64, Metrics) {
+// padded lays vals out along track(r), padded with pad, runs the operation
+// and reads the results back along the same track.
+func padded(vals []float64, pad float64, cfg config, phase string, track func(grid.Rect) grid.Track, run func(*machine.Machine, grid.Rect)) ([]float64, Metrics) {
 	if len(vals) == 0 {
 		return nil, Metrics{}
 	}
 	m, r := gridFor(len(vals), cfg, phase)
 	t := track(r)
-	for i := 0; i < r.Size(); i++ {
-		v := math.Inf(1)
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
+	grid.Place(m, t, "v", vals, pad)
 	run(m, r)
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m)
+	return grid.Extract[float64](m, t, "v", len(vals)), fromMachine(m)
 }
 
 // SortIndices sorts (value, index) pairs with the 2-D mergesort and returns
@@ -404,14 +289,7 @@ func Select(vals []float64, k int, opts ...Option) (got float64, met Metrics, er
 	defer captureMemLimit(&err)
 	cfg := buildConfig(opts)
 	m, r := gridFor(len(vals), cfg, "select")
-	t := grid.RowMajor(r)
-	for i := 0; i < r.Size(); i++ {
-		v := math.Inf(1)
-		if i < len(vals) {
-			v = vals[i]
-		}
-		m.Set(t.At(i), "v", v)
-	}
+	grid.Place(m, grid.RowMajor(r), "v", vals, math.Inf(1))
 	v := core.Select(m, r, "v", k, order.Float64, rand.New(rand.NewSource(cfg.seed)))
 	return v.(float64), fromMachine(m), nil
 }
@@ -446,15 +324,9 @@ func Permute(vals []float64, perm []int, opts ...Option) (out []float64, met Met
 	defer captureMemLimit(&err)
 	m, r := gridFor(len(vals), buildConfig(opts), "permute")
 	t := grid.Slice(grid.RowMajor(r), 0, len(vals))
-	for i, v := range vals {
-		m.Set(t.At(i), "v", v)
-	}
+	grid.Place(m, t, "v", vals, 0)
 	core.Permute(m, t, "v", t, "v", perm)
-	out = make([]float64, len(vals))
-	for i := range out {
-		out[i] = m.Get(t.At(i), "v").(float64)
-	}
-	return out, fromMachine(m), nil
+	return grid.Extract[float64](m, t, "v", len(vals)), fromMachine(m), nil
 }
 
 // MatrixEntry is one non-zero element of a sparse matrix.
