@@ -117,10 +117,12 @@ conformance-full:
 experiments-refresh:
 	$(GO) run ./cmd/boundcheck -full -json
 
-# bench reruns the simulator micro-benchmarks plus three end-to-end
-# measurements — the Table I sort and the MeshSortPoint and ScanPoint
+# bench reruns the simulator micro-benchmarks plus four end-to-end
+# measurements — the Table I sort, the MeshSortPoint and ScanPoint
 # value/counting pairs (whose ns/op ratios record the single-measurement
-# speedups of the counting-only path) — plus the warm result-cache benchmark (its hit_rate metric
+# speedups of the counting-only path) and the 2^18 BitonicSortPoint at one
+# and two shards (with MeshSortPoint's 2-shard counting point, the
+# counting kernel's lanes) — plus the warm result-cache benchmark (its hit_rate metric
 # tells bench-compare the timing measured cache lookups, not simulation)
 # and rewrites BENCH_machine.json. The machine micro-benchmarks run five
 # times and benchjson records each metric's median, so one sample taken in
@@ -130,7 +132,7 @@ experiments-refresh:
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMachine' -benchmem -count 5 ./internal/machine/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCacheHit' -benchmem ./internal/harness/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkTable1Sort|BenchmarkMeshSortPoint|BenchmarkScanPoint' -benchtime 1x . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTable1Sort|BenchmarkMeshSortPoint|BenchmarkBitonicSortPoint|BenchmarkScanPoint' -benchtime 1x . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_machine.json
 	@echo wrote BENCH_machine.json
 

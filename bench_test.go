@@ -130,21 +130,25 @@ func BenchmarkTable1SpMV(b *testing.B) {
 // "value" carries register payloads through per-level Par rounds,
 // "counting" takes the counting-only fast path SetBatchSends admits on a
 // sink-free machine (payloads host-side, identical
-// Energy/Depth/Distance/Messages).
-// The ratio of the two recorded ns/op is the single-measurement speedup of
-// the batched-send redesign; `make bench` records both in
+// Energy/Depth/Distance/Messages), and "counting/shards=2" takes it on a
+// 2-shard machine, whose counting kernel charges the rows (or columns) of
+// each phase from two lanes.
+// The ratio of the value and counting ns/op is the single-measurement
+// speedup of the batched-send redesign; `make bench` records all three in
 // BENCH_machine.json so bench-compare tracks them.
 func BenchmarkMeshSortPoint(b *testing.B) {
 	const n = 65536
 	rng := rand.New(rand.NewSource(5))
 	vals := workload.Array(workload.Random, n, rng)
 	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{{"value", false}, {"counting", true}} {
+		name   string
+		batch  bool
+		shards int
+	}{{"value", false, 0}, {"counting", true, 0}, {"counting/shards=2", true, 2}} {
 		b.Run(mode.name, func(b *testing.B) {
 			m := machine.New()
 			m.SetBatchSends(mode.batch)
+			m.SetShards(mode.shards)
 			for i := 0; i < b.N; i++ {
 				m.Reset()
 				r := grid.SquareFor(machine.Coord{}, n)
@@ -152,6 +156,36 @@ func BenchmarkMeshSortPoint(b *testing.B) {
 				sortnet.Shearsort(m, r, "v", order.Float64)
 			}
 			report(b, m)
+			if mode.shards > 0 {
+				b.ReportMetric(float64(mode.shards), "shards")
+			}
+		})
+	}
+}
+
+// BenchmarkBitonicSortPoint measures the bitonic network's counting path
+// at 2^18 elements, the size of the large-n benchmark's bitonic calls, on
+// one and on two shards: with two, the counting kernel charges each level
+// from two lanes, block by block where the level stays inside blocks of
+// 2048 wires and split by comparator range elsewhere. Both report their
+// shard count, so bench-compare never compares the two.
+func BenchmarkBitonicSortPoint(b *testing.B) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(15))
+	vals := workload.Array(workload.Random, n, rng)
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("counting/shards=%d", shards), func(b *testing.B) {
+			m := machine.New()
+			m.SetBatchSends(true)
+			m.SetShards(shards)
+			r := grid.SquareFor(machine.Coord{}, n)
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				placeBench(m, grid.RowMajor(r), vals)
+				sortnet.Sort(m, grid.RowMajor(r), "v", n, order.Float64)
+			}
+			report(b, m)
+			b.ReportMetric(float64(shards), "shards")
 		})
 	}
 }

@@ -32,7 +32,7 @@ type Pool struct {
 func AddPool(fs *flag.FlagSet) *Pool {
 	p := &Pool{}
 	fs.IntVar(&p.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep points")
-	fs.IntVar(&p.Shards, "shards", runtime.GOMAXPROCS(0), "intra-simulation shards per machine (1 = sequential rounds; output is identical for any value)")
+	fs.IntVar(&p.Shards, "shards", runtime.GOMAXPROCS(0), "intra-simulation shards per machine: parallel-round delivery and counting-kernel lanes (1 = sequential; output is identical for any value)")
 	fs.BoolVar(&p.Batch, "batch", true, "admit the counting-only fast path for data-oblivious sweeps (sorting networks, scans and predecessor counts, with no trace sink or memory limit; output is identical)")
 	return p
 }

@@ -277,9 +277,10 @@ func WithSink(s trace.Sink) Option {
 }
 
 // WithShards executes every leased machine's parallel rounds across k
-// shards (see machine.SetShards). Sharding changes wall-clock only: rows,
-// metrics and trace streams are byte-identical for every k. k <= 1 keeps
-// rounds sequential.
+// shards, and lets its counting kernel charge the sorting networks'
+// independent tracks and blocks from k lanes (see machine.SetShards).
+// Sharding changes wall-clock only: rows, metrics and trace streams are
+// byte-identical for every k. k <= 1 keeps both sequential.
 func WithShards(k int) Option {
 	return func(r *Runner) { r.shards = k }
 }

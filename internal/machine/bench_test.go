@@ -121,6 +121,43 @@ func BenchmarkMachineWires(b *testing.B) {
 	w.Close()
 }
 
+// BenchmarkMachineWiresLanes is BenchmarkMachineWires charged from two
+// lanes (Wires.Fork), each taking every level over half of the columns,
+// as the counting sorting networks split Shearsort's column phases on a
+// 2-shard machine. One op is one level over every column, with one fork.
+// It reports its lane count as the shards metric, so bench-compare never
+// compares it with a run at another count.
+func BenchmarkMachineWiresLanes(b *testing.B) {
+	const side, lanes = 256, 2
+	m := New()
+	m.SetBatchSends(true)
+	cs := make([]Coord, 0, side*side)
+	for col := 0; col < side; col++ {
+		for row := 0; row < side; row++ {
+			cs = append(cs, Coord{row, col})
+		}
+	}
+	var levels [2][]Pair
+	for j := 0; j+1 < side; j++ {
+		levels[j%2] = append(levels[j%2], Pair{j, j + 1})
+	}
+	w := m.BindWires(cs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		level := levels[i%2]
+		w.Fork(lanes, func(l *Lane) {
+			share := len(cs) / lanes
+			for base := l.Index() * share; base < (l.Index()+1)*share; base += side {
+				l.Exchange(base, level)
+			}
+		})
+	}
+	b.StopTimer()
+	w.Close()
+	b.ReportMetric(lanes, "shards")
+}
+
 // BenchmarkMachineWiresSend measures the kernel's one-way send in the
 // layout of a scan's tree level: 2^16 wires on a 256x256 region in Z-order,
 // one op being one level of the 4-ary summation tree at height 1 (every

@@ -46,8 +46,11 @@
 // counting kernel of the sorting networks, the scans and the selection's
 // predecessor counts, is the one specialized path: it charges messages
 // whose pattern does not depend on the data and leaves their payloads to
-// the caller. The geometry of finite fabrics (the fold and the link walk)
-// lives in package fabric, which the trace heatmap shares.
+// the caller. On a sharded machine it can charge from several lanes at
+// once (Wires.Fork), each on its own wires with counters of its own, which
+// is how the counting sorting networks use the shards. The geometry of
+// finite fabrics (the fold and the link walk) lives in package fabric,
+// which the trace heatmap shares.
 package machine
 
 import (

@@ -32,11 +32,12 @@ import "sync"
 const defaultShardMin = 2048
 
 // SetShards sets the number of shards the delivery of large Par rounds is
-// partitioned into. k <= 1 restores sequential delivery. The setting
-// survives Reset, so pooled machines keep their shard count across sweep
-// points. Sharding changes no observable output — counters, clocks,
-// registers and trace streams are byte-identical for every k — only
-// wall-clock time.
+// partitioned into, which is also how many lanes the counting kernel may
+// charge from at once (Wires.Lanes). k <= 1 restores sequential delivery
+// and a single-lane kernel. The setting survives Reset, so pooled machines
+// keep their shard count across sweep points. Sharding changes no
+// observable output — counters, clocks, registers and trace streams are
+// byte-identical for every k — only wall-clock time.
 func (m *Machine) SetShards(k int) {
 	if k < 1 {
 		k = 1

@@ -424,3 +424,90 @@ func TestCountingPathMatchesValuePathWithTies(t *testing.T) {
 		}
 	}
 }
+
+// TestLanesMatchOneShard runs every network family on the counting path
+// at 2, 3 and 4 shards, so that runManyCounting charges from that many
+// lanes, and requires every Metrics field, the largest link load, every
+// wire's clock and the output register to equal the 1-shard run's: on
+// inputs with ties, both zeros and NaN, on the ideal grid, a folded mesh,
+// a torus and under congestion tracking (where the kernel keeps one lane).
+// The 4096-wire bitonic network has levels that run block by block and
+// levels split by comparator range; the transposition network runs fused
+// over tracks of uneven lengths, every other one descending; the odd-even
+// mergesort has no blocks, so all its levels are split by range.
+func TestLanesMatchOneShard(t *testing.T) {
+	setLaneMin(t, 1)
+	uneven := func(r grid.Rect, less order.Less) []TrackRun {
+		var tracks []TrackRun
+		row := grid.RowMajor(r)
+		for i, from := 0, 0; from < r.Size(); i++ {
+			n := min(8+5*(i%4), r.Size()-from)
+			tr := TrackRun{Track: grid.Slice(row, from, n), Less: less}
+			if i%2 == 1 {
+				tr.Less = order.Reverse(less)
+			}
+			tracks = append(tracks, tr)
+			from += n
+		}
+		return tracks
+	}
+	networks := []struct {
+		name string
+		side int
+		run  func(m *machine.Machine, r grid.Rect)
+	}{
+		{"bitonic-4096", 64, func(m *machine.Machine, r grid.Rect) {
+			Sort(m, grid.RowMajor(r), "v", r.Size(), order.Float64)
+		}},
+		{"shearsort", 16, func(m *machine.Machine, r grid.Rect) { Shearsort(m, r, "v", order.Float64) }},
+		{"odd-even", 16, func(m *machine.Machine, r grid.Rect) {
+			Run(m, OddEvenMergeSort(r.Size()), grid.ZOrder(r), "v", order.Float64)
+		}},
+		{"transposition", 16, func(m *machine.Machine, r grid.Rect) {
+			RunMany(m, OddEvenTranspositionLevels(8), uneven(r, order.Float64), "v")
+		}},
+	}
+	run := func(spec string, cong bool, shards int, r grid.Rect, in []machine.Value, network func(*machine.Machine, grid.Rect)) string {
+		bk, err := machine.ParseBackend(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := machine.New()
+		m.SetBackend(bk)
+		m.SetBatchSends(true)
+		m.SetShards(shards)
+		if cong {
+			m.EnableCongestionTracking()
+		}
+		grid.Place(m, grid.RowMajor(r), "v", in, nil)
+		network(m, r)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v touched=%d links max=%d total=%d\n", m.Metrics(), m.TouchedPEs(), m.MaxCongestion(), m.TotalLinkTraversals())
+		for i := 0; i < r.Size(); i++ {
+			c := grid.RowMajor(r).At(i)
+			d, x := m.Clock(c)
+			fmt.Fprintf(&b, "%d/%d/%#x ", d, x, math.Float64bits(m.Get(c, "v").(float64)))
+		}
+		return b.String()
+	}
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), 1, -1, 2.5}
+	for _, nw := range networks {
+		r := grid.Square(machine.Coord{Row: 1, Col: 2}, nw.side)
+		rng := rand.New(rand.NewSource(21))
+		in := make([]machine.Value, r.Size())
+		for i := range in {
+			in[i] = specials[rng.Intn(len(specials))]
+		}
+		for _, bk := range []struct {
+			spec string
+			cong bool
+		}{{"ideal", false}, {"mesh:5x3:2", false}, {"torus:4x4:3", false}, {"ideal", true}} {
+			want := run(bk.spec, bk.cong, 1, r, in, nw.run)
+			for _, shards := range []int{2, 3, 4} {
+				if got := run(bk.spec, bk.cong, shards, r, in, nw.run); got != want {
+					t.Errorf("%s %s cong=%v shards=%d: differs from the 1-shard run", nw.name, bk.spec, bk.cong, shards)
+				}
+			}
+		}
+	}
+}

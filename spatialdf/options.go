@@ -111,9 +111,11 @@ func WithCongestion() Option {
 }
 
 // WithShards delivers the operation's large parallel rounds across k shards
-// of the PE grid (destination-tile partitioning; see internal/machine). The
-// results and Metrics are byte-identical for every k — sharding changes
-// wall-clock time only. k <= 1 keeps rounds sequential. Composes with
+// of the PE grid (destination-tile partitioning; see internal/machine) and,
+// with WithBatchSends, charges the counting sorting networks' independent
+// tracks and blocks from k lanes. The results and Metrics are
+// byte-identical for every k — sharding changes wall-clock time only.
+// k <= 1 keeps both sequential. Composes with
 // WithCongestion and WithTraceSink (the event stream stays in issue order);
 // combining it with WithMemoryLimit is an error, reported per the Option
 // contract.
